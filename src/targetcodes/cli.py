@@ -13,12 +13,14 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import codes as codes_mod
 from . import data as data_mod
 from . import gradcheck as gradcheck_mod
+from . import network as net_mod
 from . import trainer as trainer_mod
 from .core import Rng
 from .errors import ConfigError, NumericError, TargetCodesError, TrainingDiverged
@@ -26,73 +28,36 @@ from .losses import Hyperparams
 
 log = logging.getLogger("targetcodes")
 
-# key -> (parser, formatter); the full set of recognized config-file keys
-_CONFIG_KEYS = {
-    "mode": (str, str),
-    "seed": (int, str),
-    "epochs": (int, str),
-    "batch_size": (int, str),
-    "eval_every": (int, str),
-    "checkpoint_every": (int, str),
-    "out_dir": (str, str),
-    "train_data": (str, str),
-    "test_data": (str, str),
-    "feature_widths": (
-        lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
-        lambda t: ",".join(str(v) for v in t),
-    ),
-    "encoder_hidden": (int, str),
-    "num_classes": (int, str),
-    "code_length": (int, str),
-    "mse_weight": (float, repr),
-    "triplet_weight": (float, repr),
-    "corr_weight": (float, repr),
-    "margin": (float, repr),
-    "tanh_scale": (float, repr),
-    "activation": (str, str),
-    "ste_rule": (str, str),
-    "lr_feature": (float, repr),
-    "lr_new": (float, repr),
-    "lr_codes": (float, repr),
-    "momentum": (float, repr),
-    "weight_decay": (float, repr),
-    "decay_epochs": (
-        lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
-        lambda t: ",".join(str(v) for v in t),
-    ),
-    "decay_factor": (float, repr),
-    "decay_codes": (
+# annotation -> (parser, formatter); the annotations are the strings written
+# in the dataclass bodies, since those modules use postponed evaluation
+_CODECS = {
+    "int": (int, str),
+    "float": (float, repr),
+    "Optional[float]": (float, repr),
+    "str": (str, str),
+    "Optional[str]": (str, str),
+    "bool": (
         lambda s: {"true": True, "false": False}[s.lower()],
         lambda b: "true" if b else "false",
     ),
+    "tuple[int, ...]": (
+        lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
+        lambda t: ",".join(str(v) for v in t),
+    ),
 }
 
-_DEFAULTS = {
-    "mode": "baseline",
-    "seed": 0,
-    "epochs": 100,
-    "batch_size": 16,
-    "eval_every": 1,
-    "checkpoint_every": 0,
-    "out_dir": "run",
-    "feature_widths": (256, 128),
-    "encoder_hidden": 256,
-    "code_length": 512,
-    "mse_weight": 1.0,
-    "triplet_weight": 0.01,
-    "corr_weight": 0.1,
-    "tanh_scale": 1.0,
-    "activation": "sign",
-    "ste_rule": "clipped",
-    "lr_feature": 0.001,
-    "lr_new": 0.01,
-    "lr_codes": 0.1,
-    "momentum": 0.9,
-    "weight_decay": 1e-4,
-    "decay_epochs": (40, 70),
-    "decay_factor": 0.1,
-    "decay_codes": True,
-}
+# The config keys are the TrainConfig fields, with the Hyperparams fields
+# in place of ``hp``, in declaration order.
+_FIELDS = [
+    f
+    for outer in fields(trainer_mod.TrainConfig)
+    for f in (fields(Hyperparams) if outer.name == "hp" else (outer,))
+]
+_HP_KEYS = {f.name for f in fields(Hyperparams)}
+# key -> (parser, formatter); the full set of recognized config-file keys
+_CONFIG_KEYS = {f.name: _CODECS[f.type] for f in _FIELDS}
+_DEFAULTS = {f.name: f.default for f in _FIELDS if f.default is not MISSING}
+_DEFAULTS.update(mode="baseline", out_dir="run")
 
 
 def parse_config_file(path) -> dict:
@@ -159,42 +124,13 @@ def _resolve_train_config(args) -> dict:
 
 
 def _build_train_config(values: dict, num_classes: int) -> trainer_mod.TrainConfig:
-    if "num_classes" in values and values["num_classes"] != num_classes:
+    if values["num_classes"] != num_classes:
         raise ConfigError(
             f"config says {values['num_classes']} classes, data has {num_classes}"
         )
-    hp = Hyperparams(
-        num_classes=num_classes,
-        code_length=values["code_length"],
-        mse_weight=values["mse_weight"],
-        triplet_weight=values["triplet_weight"],
-        corr_weight=values["corr_weight"],
-        margin=values.get("margin"),
-        tanh_scale=values["tanh_scale"],
-        lr_feature=values["lr_feature"],
-        lr_new=values["lr_new"],
-        lr_codes=values["lr_codes"],
-        momentum=values["momentum"],
-        weight_decay=values["weight_decay"],
-        epochs=values["epochs"],
-        batch_size=values["batch_size"],
-        decay_epochs=values["decay_epochs"],
-        decay_factor=values["decay_factor"],
-        seed=values["seed"],
-    )
+    hp = Hyperparams(**{k: v for k, v in values.items() if k in _HP_KEYS})
     return trainer_mod.TrainConfig(
-        mode=values["mode"],
-        hp=hp,
-        feature_widths=tuple(values["feature_widths"]),
-        encoder_hidden=values["encoder_hidden"],
-        activation=values["activation"],
-        ste_rule=values["ste_rule"],
-        decay_codes=values["decay_codes"],
-        eval_every=values["eval_every"],
-        checkpoint_every=values["checkpoint_every"],
-        out_dir=values["out_dir"],
-        train_data=values.get("train_data"),
-        test_data=values.get("test_data"),
+        hp=hp, **{k: v for k, v in values.items() if k not in _HP_KEYS}
     )
 
 
@@ -283,7 +219,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train_data and test_data are required")
     train_ds = data_mod.load_csv(values["train_data"])
     test_ds = data_mod.load_csv(values["test_data"])
-    values["num_classes"] = train_ds.num_classes
+    values.setdefault("num_classes", train_ds.num_classes)
     config = _build_train_config(values, train_ds.num_classes)
     trainer_mod.validate_config(config, train_ds.num_classes)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -318,7 +254,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    state = trainer_mod.checkpoint_load(args.checkpoint)
+    state = net_mod.load_checkpoint(args.checkpoint)
     ds = data_mod.load_csv(args.data)
     top1, top5 = trainer_mod.evaluate(state.model, ds)
     print(f"top1 {top1:.4f} top5 {top5:.4f}")

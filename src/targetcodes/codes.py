@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Matrix, Rng, as_matrix
+from .core import Matrix, Reader, Rng, as_matrix, pack_matrix
 from .errors import (
     CapacityError,
     DimensionError,
@@ -36,9 +36,11 @@ STE_CLIPPED = "clipped"
 STE_PASSTHROUGH = "passthrough"
 
 _BANK_MAGIC = b"LTCB"
-_BANK_VERSION = 1
+_BANK_VERSION = 2
 _KIND_CODES = {HADAMARD_FIXED: 0, LEARNABLE: 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+_ACTIVATION_CODES = {SIGN: 0, TANH_SCALED: 1}
+_ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
 
 
 @dataclass
@@ -223,52 +225,66 @@ def mean_abs_off_diagonal(corr: Matrix) -> float:
     return float(off / (k * (k - 1)))
 
 
-def save_bank(bank: CodeBank, path) -> None:
-    """Write a bank as a little-endian LTCB file.
-
-    Layout: magic "LTCB", u32 version, u32 kind, u32 K, u32 L, f64 tanh
-    scale, then K*L float64 parameters row-major. The activation is not
-    part of the format; loaded banks default to sign.
-    """
-    header = _BANK_MAGIC + struct.pack(
-        "<IIIId",
-        _BANK_VERSION,
-        _KIND_CODES[bank.kind],
-        bank.num_classes,
-        bank.code_length,
-        bank.tanh_scale,
+def pack_bank(bank: CodeBank) -> bytes:
+    """Little-endian bank section shared by LTCB files and LTCK checkpoints:
+    u32 kind, u32 activation, f64 tanh scale, then the weights matrix."""
+    head = struct.pack(
+        "<IId", _KIND_CODES[bank.kind], _ACTIVATION_CODES[bank.activation], bank.tanh_scale
     )
+    return head + pack_matrix(bank.weights)
+
+
+def read_bank(rd: Reader) -> CodeBank:
+    """Read one bank section written by :func:`pack_bank`."""
+    kind_code, act_code, tanh_scale = rd.unpack("<IId")
+    return _decode_bank(kind_code, act_code, tanh_scale, rd.matrix())
+
+
+def _read_bank_v1(rd: Reader) -> CodeBank:
+    # v1: u32 kind, u32 K, u32 L, f64 tanh scale, K*L f64; no activation
+    # field, and every v1 bank was read as sign
+    kind_code, k, length, tanh_scale = rd.unpack("<IIId")
+    w = np.frombuffer(rd.take(8 * k * length), dtype="<f8").astype(np.float64)
+    return _decode_bank(kind_code, _ACTIVATION_CODES[SIGN], tanh_scale, w.reshape(k, length))
+
+
+def _decode_bank(kind_code: int, act_code: int, tanh_scale: float, weights) -> CodeBank:
+    if kind_code not in _KIND_NAMES:
+        raise FormatError(f"unknown code bank kind code {kind_code}")
+    if act_code not in _ACTIVATION_NAMES:
+        raise FormatError(f"unknown code bank activation code {act_code}")
+    return CodeBank(
+        kind=_KIND_NAMES[kind_code],
+        num_classes=weights.shape[0],
+        code_length=weights.shape[1],
+        weights=weights,
+        activation=_ACTIVATION_NAMES[act_code],
+        tanh_scale=tanh_scale,
+    )
+
+
+def save_bank(bank: CodeBank, path) -> None:
+    """Write a bank as an LTCB file: magic "LTCB", u32 version 2, then the
+    :func:`pack_bank` section."""
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(bank.weights, dtype="<f8").tobytes())
+        fh.write(_BANK_MAGIC + struct.pack("<I", _BANK_VERSION) + pack_bank(bank))
 
 
 def load_bank(path) -> CodeBank:
-    """Read an LTCB file written by :func:`save_bank`."""
+    """Read an LTCB file written by :func:`save_bank`. Version 1 files,
+    which did not store the activation, load as sign banks."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 4 or raw[:4] != _BANK_MAGIC:
+    if raw[:4] != _BANK_MAGIC:
         raise FormatError(f"not a code bank file (bad magic {raw[:4]!r})")
-    head_size = 4 + struct.calcsize("<IIIId")
-    if len(raw) < head_size:
-        raise FormatError("truncated code bank header")
-    version, kind_code, k, length, tanh_scale = struct.unpack(
-        "<IIIId", raw[4:head_size]
-    )
-    if version != _BANK_VERSION:
+    rd = Reader(raw, "code bank")
+    rd.take(4)
+    (version,) = rd.unpack("<I")
+    if version == 1:
+        bank = _read_bank_v1(rd)
+    elif version == _BANK_VERSION:
+        bank = read_bank(rd)
+    else:
         raise VersionError(f"unsupported code bank version {version}")
-    if kind_code not in _KIND_NAMES:
-        raise FormatError(f"unknown code bank kind code {kind_code}")
-    expected = head_size + 8 * k * length
-    if len(raw) != expected:
-        raise FormatError(
-            f"code bank payload has {len(raw) - head_size} bytes, expected {8 * k * length}"
-        )
-    w = np.frombuffer(raw[head_size:], dtype="<f8").astype(np.float64)
-    return CodeBank(
-        kind=_KIND_NAMES[kind_code],
-        num_classes=k,
-        code_length=length,
-        weights=w.reshape(k, length),
-        tanh_scale=tanh_scale,
-    )
+    rd.finish()
+    return bank

@@ -1,21 +1,23 @@
-"""Dense float64 matrices, a fixed deterministic RNG, and a finite-difference
-gradient checker.
+"""Dense float64 matrices and their binary encoding, a fixed deterministic
+RNG, and a finite-difference gradient checker.
 
 Matrices are plain 2-D C-contiguous ``numpy.ndarray`` objects with dtype
-float64; every public operation validates shapes and guarantees a finite
-result. The RNG is splitmix64, chosen over the platform default so that a
-seed reproduces the same stream on every machine.
+float64. The binary formats (code banks, checkpoints) share one matrix
+encoding and one bounds-checked reader. The RNG is splitmix64, chosen over
+the platform default so that a seed reproduces the same stream on every
+machine.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericError, UsageError
+from .errors import DimensionError, DomainError, FormatError, NumericError
 
 Matrix = np.ndarray
 
@@ -33,73 +35,41 @@ def as_matrix(values) -> Matrix:
     return np.ascontiguousarray(a)
 
 
-def _require_finite(a: Matrix, op: str) -> Matrix:
-    if not np.isfinite(a).all():
-        raise NumericError(f"{op} produced non-finite entries")
-    return a
+def pack_matrix(a: Matrix) -> bytes:
+    """Little-endian encoding: u32 rows, u32 cols, then row-major f64 data."""
+    r, c = a.shape
+    return struct.pack("<II", r, c) + np.ascontiguousarray(a, dtype="<f8").tobytes()
 
 
-def matmul(a, b) -> Matrix:
-    """Matrix product of ``a`` (m x k) and ``b`` (k x n)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return _require_finite(a @ b, "matmul")
+class Reader:
+    """Sequential reader over the bytes of a ``what`` file (e.g. "checkpoint");
+    running past the end raises FormatError."""
 
+    def __init__(self, raw: bytes, what: str):
+        self.raw = raw
+        self.what = what
+        self.pos = 0
 
-def elementwise(a, b, op: str) -> Matrix:
-    """Entrywise add/sub/mul of two same-shape matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if op == "add":
-        out = a + b
-    elif op == "sub":
-        out = a - b
-    elif op == "mul":
-        out = a * b
-    else:
-        raise UsageError(f"unknown elementwise op {op!r}")
-    return _require_finite(out, f"elementwise {op}")
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.raw):
+            raise FormatError(f"truncated {self.what} file")
+        out = self.raw[self.pos : self.pos + n]
+        self.pos += n
+        return out
 
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-def reduce(a, axis: str, op: str):
-    """Reduce a matrix along ``axis`` in {'rows', 'cols', 'all'}.
+    def matrix(self) -> Matrix:
+        """Read one matrix written by :func:`pack_matrix`."""
+        r, c = self.unpack("<II")
+        data = np.frombuffer(self.take(8 * r * c), dtype="<f8").astype(np.float64)
+        return data.reshape(r, c)
 
-    'rows' reduces each row to one value (shape rows x 1), 'cols' each
-    column (shape 1 x cols), 'all' the whole matrix to a scalar. ``op`` is
-    one of 'sum', 'max', 'argmax'; argmax returns plain indices (a list for
-    'rows'/'cols', a (row, col) tuple for 'all') with ties broken by the
-    lowest index.
-    """
-    a = as_matrix(a)
-    if axis not in ("rows", "cols", "all"):
-        raise UsageError(f"unknown axis {axis!r}")
-    if op == "argmax":
-        if axis == "rows":
-            return [int(i) for i in np.argmax(a, axis=1)]
-        if axis == "cols":
-            return [int(i) for i in np.argmax(a, axis=0)]
-        r, c = np.unravel_index(int(np.argmax(a)), a.shape)
-        return (int(r), int(c))
-    if op == "sum":
-        fn = np.sum
-    elif op == "max":
-        fn = np.max
-    else:
-        raise UsageError(f"unknown reduce op {op!r}")
-    if axis == "rows":
-        return _require_finite(fn(a, axis=1, keepdims=True), "reduce")
-    if axis == "cols":
-        return _require_finite(fn(a, axis=0, keepdims=True), "reduce")
-    out = float(fn(a))
-    if not math.isfinite(out):
-        raise NumericError("reduce produced a non-finite value")
-    return out
+    def finish(self) -> None:
+        """Reject bytes left over after the last field."""
+        if self.pos != len(self.raw):
+            raise FormatError(f"trailing bytes after {self.what} payload")
 
 
 class Rng:

@@ -123,26 +123,16 @@ def _network_instance(rng: Rng, hp: Hyperparams):
         x = rng.normals(4, dims["input_dim"])
         y = _random_labels(rng, 4, hp.num_classes)
         s = np.where(rng.normals(hp.num_classes, hp.code_length) >= 0, 1.0, -1.0)
-        # forward manually so each pre-activation can be inspected
-        pre_ok = True
-        h_cur = x
-        for layer in model.feature:
-            pre = h_cur @ layer.weight + layer.bias
-            if np.abs(pre).min() <= 1e-3:
-                pre_ok = False
-                break
-            h_cur = np.maximum(pre, 0.0)
-        if pre_ok:
-            z = h_cur
-            for layer in model.encoder:
-                pre = z @ layer.weight + layer.bias
-                if layer.activation == net_mod.RELU and np.abs(pre).min() <= 1e-3:
-                    pre_ok = False
-                    break
-                z = np.maximum(pre, 0.0) if layer.activation == net_mod.RELU else np.tanh(pre)
-        if not pre_ok:
+        _, _, v, cache = net_mod.forward(model, x, semantic=True)
+        # the cache keeps layer inputs and outputs, not pre-activations, so
+        # recompute each ReLU pre-activation from its cached input
+        io = zip(model.feature + model.encoder, cache.feature_io + cache.encoder_io)
+        if any(
+            np.abs(inp @ layer.weight + layer.bias).min() <= 1e-3
+            for layer, (inp, _) in io
+            if layer.activation == net_mod.RELU
+        ):
             continue
-        v = z
         corr = v @ s.T
         hinge = corr - corr[np.arange(4), y][:, None] + hp.margin
         hinge[np.arange(4), y] = 1.0

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import codes as codes_mod
-from .core import Matrix, Rng, as_matrix
+from .core import Matrix, Reader, Rng, as_matrix, pack_matrix
 from .errors import (
     DimensionError,
     DomainError,
@@ -350,32 +350,6 @@ class CheckpointState:
     bank: Optional[codes_mod.CodeBank]
 
 
-def _pack_matrix(a: Matrix) -> bytes:
-    r, c = a.shape
-    return struct.pack("<II", r, c) + np.ascontiguousarray(a, dtype="<f8").tobytes()
-
-
-class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise FormatError("truncated checkpoint file")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def matrix(self) -> Matrix:
-        r, c = self.unpack("<II")
-        data = np.frombuffer(self.take(8 * r * c), dtype="<f8").astype(np.float64)
-        return data.reshape(r, c)
-
-
 _MODE_CODES = {"baseline": 0, "htc": 1, "ltc": 2}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 
@@ -387,8 +361,8 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     state, u32 epoch; u32 feature layer count then per layer u8 activation
     + weight + bias matrices; the classifier layer; u32 encoder layer count
     and its layers; the momentum buffers in the same order; u8 bank flag
-    and, when set, the code bank (u32 kind, u32 activation, f64 tanh scale,
-    weights matrix). Matrices serialize as u32 rows, u32 cols, f64 data.
+    and, when set, the :func:`codes.pack_bank` section. Matrices serialize
+    as :func:`core.pack_matrix`.
     """
     parts = [
         _CKPT_MAGIC,
@@ -406,8 +380,8 @@ def save_checkpoint(path, state: CheckpointState) -> None:
         parts.append(struct.pack("<I", len(layers)))
         for layer in layers:
             parts.append(struct.pack("<B", _ACT_CODES[layer.activation]))
-            parts.append(_pack_matrix(layer.weight))
-            parts.append(_pack_matrix(layer.bias))
+            parts.append(pack_matrix(layer.weight))
+            parts.append(pack_matrix(layer.bias))
 
     pack_layers(state.model.feature)
     pack_layers([state.model.classifier])
@@ -429,20 +403,13 @@ def save_checkpoint(path, state: CheckpointState) -> None:
         parts.append(struct.pack("<I", d))
     for bufs in (opt.feature_bufs, [opt.classifier_buf], opt.encoder_bufs):
         for bw, bb in bufs:
-            parts.append(_pack_matrix(bw))
-            parts.append(_pack_matrix(bb))
+            parts.append(pack_matrix(bw))
+            parts.append(pack_matrix(bb))
     if state.bank is None:
         parts.append(struct.pack("<B", 0))
     else:
-        bank = state.bank
         parts.append(struct.pack("<B", 1))
-        act_code = 0 if bank.activation == codes_mod.SIGN else 1
-        parts.append(
-            struct.pack(
-                "<IId", codes_mod._KIND_CODES[bank.kind], act_code, bank.tanh_scale
-            )
-        )
-        parts.append(_pack_matrix(bank.weights))
+        parts.append(codes_mod.pack_bank(state.bank))
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -453,7 +420,7 @@ def load_checkpoint(path) -> CheckpointState:
         raw = fh.read()
     if len(raw) < 4 or raw[:4] != _CKPT_MAGIC:
         raise FormatError(f"not a checkpoint file (bad magic {raw[:4]!r})")
-    rd = _Reader(raw)
+    rd = Reader(raw, "checkpoint")
     rd.take(4)
     (version,) = rd.unpack("<I")
     if version != _CKPT_VERSION:
@@ -497,22 +464,8 @@ def load_checkpoint(path) -> CheckpointState:
     opt.classifier_buf = (rd.matrix(), rd.matrix())
     opt.encoder_bufs = [(rd.matrix(), rd.matrix()) for _ in encoder]
     (has_bank,) = rd.unpack("<B")
-    bank = None
-    if has_bank:
-        kind_code, act_code, tanh_scale = rd.unpack("<IId")
-        if kind_code not in codes_mod._KIND_NAMES:
-            raise FormatError(f"unknown code bank kind code {kind_code}")
-        w = rd.matrix()
-        bank = codes_mod.CodeBank(
-            kind=codes_mod._KIND_NAMES[kind_code],
-            num_classes=w.shape[0],
-            code_length=w.shape[1],
-            weights=w,
-            activation=codes_mod.SIGN if act_code == 0 else codes_mod.TANH_SCALED,
-            tanh_scale=tanh_scale,
-        )
-    if rd.pos != len(raw):
-        raise FormatError("trailing bytes after checkpoint payload")
+    bank = codes_mod.read_bank(rd) if has_bank else None
+    rd.finish()
     return CheckpointState(
         mode=_MODE_NAMES[mode_code],
         seed=seed,

@@ -463,12 +463,3 @@ def group_correlation_split(corr: np.ndarray, groups: np.ndarray) -> tuple[float
         raise DomainError("need at least two groups with two classes each")
     return float(np.mean(intra)), float(np.mean(inter))
 
-
-def checkpoint_save(path, config: TrainConfig, epoch: int, result: TrainResult) -> str:
-    """Persist a finished or in-progress run to ``path``."""
-    return _save_state(path, config, epoch, result.model, result.optimizer, result.bank)
-
-
-def checkpoint_load(path) -> net_mod.CheckpointState:
-    """Load a checkpoint written by this module or by a training run."""
-    return net_mod.load_checkpoint(path)

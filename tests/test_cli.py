@@ -152,6 +152,15 @@ class TestTrain:
                        "--test-data", str(test), "--out", str(tmp_path / "r"))
         assert code == 2
 
+    def test_config_num_classes_mismatch_exit_2(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        cfg = tmp_path / "classes.cfg"
+        cfg.write_text("num_classes = 7\n")
+        code = run_cli(*self.train_args(tmp_path, train, test, "--mode", "baseline",
+                                        "--config", str(cfg)))
+        assert code == 2
+        assert "config says 7 classes, data has 4" in capsys.readouterr().err
+
     def test_missing_data_exit_2(self, tmp_path):
         assert run_cli("train", "--mode", "baseline",
                        "--out", str(tmp_path / "r")) == 2

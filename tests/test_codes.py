@@ -1,6 +1,8 @@
 """Hadamard construction, code selection, binarizing activation, and the
 clipped straight-through backward rule."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -251,8 +253,29 @@ class TestBankSerialization:
         assert loaded.kind == "learnable"
         assert loaded.num_classes == 5
         assert loaded.code_length == 12
+        assert loaded.activation == "tanh_scaled"
         assert loaded.tanh_scale == 7.5
         assert np.array_equal(loaded.weights, bank.weights)
+
+    def test_version_1_file_loads_as_sign(self, tmp_path):
+        w = Rng(10).normals(3, 4)
+        path = tmp_path / "v1.ltcb"
+        # v1 layout: magic, u32 version, u32 kind, u32 K, u32 L, f64 tanh
+        # scale, K*L f64 weights; it had no activation field
+        head = b"LTCB" + struct.pack("<IIIId", 1, 1, 3, 4, 2.5)
+        path.write_bytes(head + w.astype("<f8").tobytes())
+        loaded = load_bank(path)
+        assert loaded.kind == "learnable"
+        assert loaded.activation == "sign"
+        assert loaded.tanh_scale == 2.5
+        assert np.array_equal(loaded.weights, w)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long.ltcb"
+        save_bank(init_learnable_codes(3, 4, Rng(8)), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing"):
+            load_bank(path)
 
     def test_hadamard_roundtrip(self, tmp_path):
         bank = select_hadamard_codes(16, 9, Rng(7))

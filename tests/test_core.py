@@ -1,4 +1,4 @@
-"""Matrix plumbing, RNG determinism, and the finite-difference checker."""
+"""Matrix validation, RNG determinism, and the finite-difference checker."""
 
 import numpy as np
 import pytest
@@ -7,98 +7,10 @@ from targetcodes.core import (
     Rng,
     as_matrix,
     derive_seed,
-    elementwise,
     finite_diff_check,
     labels_array,
-    matmul,
-    reduce,
 )
 from targetcodes.errors import DimensionError, DomainError, NumericError
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference implementation used as the independent oracle."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity_case(self):
-        out = matmul([[1, 0], [0, 1]], [[3], [4]])
-        assert out.tolist() == [[3.0], [4.0]]
-
-    def test_dot_product(self):
-        assert matmul([[1, 2]], [[3], [4]]).tolist() == [[11.0]]
-
-    def test_matches_triple_loop_oracle(self):
-        rng = Rng(11)
-        a = rng.normals(5, 7)
-        b = rng.normals(7, 3)
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), rtol=1e-12)
-
-    def test_oracle_agreement_up_to_64(self):
-        # atol floor absorbs summation-order roundoff on cancelled entries;
-        # it sits ~14 orders below the O(1) error a real defect would cause
-        rng = Rng(12)
-        for m, k, n in [(17, 9, 23), (64, 64, 64), (1, 64, 1)]:
-            a = rng.normals(m, k)
-            b = rng.normals(k, n)
-            np.testing.assert_allclose(
-                matmul(a, b), naive_matmul(a, b), rtol=1e-12, atol=1e-12
-            )
-
-    def test_identity_associativity_bitwise(self):
-        rng = Rng(13)
-        a = rng.normals(6, 6)
-        eye = np.eye(6)
-        assert np.array_equal(matmul(eye, a), a)
-        assert np.array_equal(matmul(a, eye), a)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match="2x3.*4x2"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-
-class TestElementwise:
-    def test_add(self):
-        assert elementwise([[1, 2]], [[3, 4]], "add").tolist() == [[4.0, 6.0]]
-
-    def test_sub_self_cancellation(self):
-        a = Rng(3).normals(3, 4)
-        assert not elementwise(a, a, "sub").any()
-
-    def test_mul(self):
-        assert elementwise([[2, 3]], [[0, 1]], "mul").tolist() == [[0.0, 3.0]]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            elementwise(np.zeros((2, 2)), np.zeros((2, 3)), "add")
-
-
-class TestReduce:
-    def test_sum_all(self):
-        assert reduce([[1, 2], [3, 4]], "all", "sum") == 10.0
-
-    def test_argmax_rows_tie_broken_low(self):
-        assert reduce([[1, 5, 5]], "rows", "argmax") == [1]
-
-    def test_max_cols(self):
-        assert reduce([[1, 2], [3, 0]], "cols", "max").tolist() == [[3.0, 2.0]]
-
-    def test_sum_rows_shape(self):
-        out = reduce([[1, 2], [3, 4]], "rows", "sum")
-        assert out.tolist() == [[3.0], [7.0]]
-
-    def test_argmax_all(self):
-        assert reduce([[1, 9], [3, 0]], "all", "argmax") == (0, 1)
 
 
 class TestRng:

@@ -1,5 +1,7 @@
 """Forward/backward correctness, the grouped optimizer, and checkpoint I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -349,4 +351,18 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_unknown_bank_activation_code(self, tmp_path):
+        state = self.build_state()
+        path = tmp_path / "act.ltck"
+        save_checkpoint(path, state)
+        raw = bytearray(path.read_bytes())
+        # the bank section ends the file: u32 kind, u32 activation, f64 tanh
+        # scale, then the 3 x 8 weights (u32 rows, u32 cols, f64 data)
+        act_at = len(raw) - (8 + 3 * 8 * 8) - 8 - 4
+        assert struct.unpack_from("<I", raw, act_at) == (0,)
+        struct.pack_into("<I", raw, act_at, 7)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="activation"):
             load_checkpoint(path)
