@@ -221,7 +221,7 @@ def cmd_train(args) -> int:
     test_ds = data_mod.load_csv(values["test_data"])
     values.setdefault("num_classes", train_ds.num_classes)
     config = _build_train_config(values, train_ds.num_classes)
-    trainer_mod.validate_config(config, train_ds.num_classes)
+    trainer_mod.validate_config(config, train_ds)
     os.makedirs(config.out_dir, exist_ok=True)
     values["margin"] = config.hp.margin
     with open(os.path.join(config.out_dir, "resolved.cfg"), "w") as fh:

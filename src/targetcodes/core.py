@@ -5,7 +5,8 @@ Matrices are plain 2-D C-contiguous ``numpy.ndarray`` objects with dtype
 float64. The binary formats (code banks, checkpoints) share one matrix
 encoding and one bounds-checked reader. The RNG is splitmix64, chosen over
 the platform default so that a seed reproduces the same stream on every
-machine.
+machine; its bulk methods draw the stream with numpy ``uint64`` arithmetic
+and reproduce the scalar methods bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ Matrix = np.ndarray
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# uint64 scalars for the bulk draws; array arithmetic wraps mod 2**64 silently
+_U0 = np.uint64(0)
+_U_GOLDEN = np.uint64(_GOLDEN)
+_U_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_U_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def as_matrix(values) -> Matrix:
@@ -79,6 +85,11 @@ class Rng:
     mix is the standard splitmix64 finalizer. Normal deviates use Box-Muller
     on two fresh uniforms (no cached spare), so the full generator state is
     the single 64-bit integer exposed via ``state``.
+
+    ``normals``, ``shuffle`` and ``sample`` draw in bulk, yet every value
+    they return and the state they leave are bit for bit those of the
+    scalar ``next_u64``/``normal``/``below`` calls, which stay the
+    reference.
     """
 
     __slots__ = ("_state",)
@@ -111,12 +122,29 @@ class Rng:
         u2 = (self.next_u64() >> 11) * 2.0**-53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
+    def _draws(self, m: int) -> np.ndarray:
+        """The next ``m`` outputs of :meth:`next_u64` as a uint64 array."""
+        z = np.arange(1, m + 1, dtype=np.uint64) * _U_GOLDEN + np.uint64(self._state)
+        self._state = (self._state + m * _GOLDEN) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= _U_MIX1
+        z ^= z >> np.uint64(27)
+        z *= _U_MIX2
+        z ^= z >> np.uint64(31)
+        return z
+
     def normals(self, rows: int, cols: int) -> Matrix:
-        """Matrix of i.i.d. standard normals, filled row-major."""
-        return np.array(
-            [[self.normal() for _ in range(cols)] for _ in range(rows)],
-            dtype=np.float64,
-        )
+        """Matrix of i.i.d. standard normals, filled row-major: the values
+        of ``rows * cols`` calls to :meth:`normal`."""
+        n = rows * cols
+        z = self._draws(2 * n) >> np.uint64(11)
+        u1 = (z[0::2] + np.uint64(1)) * 2.0**-53
+        u2 = z[1::2] * 2.0**-53
+        # math.log/math.cos, not np.log/np.cos: numpy's differ by an ulp on
+        # some inputs; sqrt and * are correctly rounded in both
+        log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, n)
+        cos_u2 = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, n)
+        return (np.sqrt(-2.0 * log_u1) * cos_u2).reshape(rows, cols)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection."""
@@ -128,10 +156,27 @@ class Rng:
             if r < limit:
                 return r % n
 
+    def _below_many(self, bounds: np.ndarray) -> list[int]:
+        """``[self.below(b) for b in bounds]`` for positive uint64 bounds,
+        drawn in bulk with the same draws and the same final state."""
+        out: list[int] = []
+        while bounds.size:
+            start = self._state
+            r = self._draws(bounds.size)
+            rem = (_U0 - bounds) % bounds  # 2**64 mod b; accept r < 2**64 - rem
+            rejected = np.flatnonzero((rem != _U0) & (r >= _U0 - rem))
+            k = int(rejected[0]) if rejected.size else bounds.size
+            out.extend((r[:k] % bounds[:k]).tolist())
+            if k < bounds.size:  # consume the rejected draw, redraw from there
+                self._state = (start + (k + 1) * _GOLDEN) & _MASK64
+            bounds = bounds[k:]
+        return out
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        n = len(items)
+        js = self._below_many(np.arange(n, 1, -1, dtype=np.uint64))
+        for i, j in zip(range(n - 1, 0, -1), js):
             items[i], items[j] = items[j], items[i]
 
     def sample(self, n: int, k: int) -> list[int]:
@@ -139,9 +184,9 @@ class Rng:
         if not 0 <= k <= n:
             raise DomainError(f"cannot sample {k} from {n}")
         pool = list(range(n))
-        for i in range(k):
-            j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
+        js = self._below_many(np.arange(n, n - k, -1, dtype=np.uint64))
+        for i, j in enumerate(js):
+            pool[i], pool[i + j] = pool[i + j], pool[i]
         return pool[:k]
 
 

@@ -267,7 +267,7 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by :func:`save_csv`."""
+    """Read a dataset written by :func:`save_csv`; features must be finite."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -282,11 +282,16 @@ def load_csv(path) -> Dataset:
             rows.append([float(v) for v in row[1:]])
     if not rows:
         raise FormatError(f"{path}: no data rows")
+    X = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise FormatError(f"{path}:{row + 2}: non-finite value in {header[col + 1]}")
     y = np.array(labels, dtype=np.intp)
     if y.min() < 0:
         raise FormatError(f"{path}: negative label {int(y.min())}")
     return Dataset(
-        X=np.array(rows, dtype=np.float64),
+        X=X,
         y=y,
         class_counts=np.bincount(y, minlength=int(y.max()) + 1).astype(np.int64),
     )

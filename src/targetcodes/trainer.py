@@ -109,9 +109,10 @@ class TrainResult:
     final_checkpoint: Optional[str] = None
 
 
-def validate_config(config: TrainConfig, num_classes: int) -> None:
-    """Fail fast on invalid configs, before any compute."""
+def validate_config(config: TrainConfig, train_ds: data_mod.Dataset) -> None:
+    """Fail fast on invalid configs, before any compute or output."""
     hp = config.hp
+    num_classes = train_ds.num_classes
     if config.mode not in MODES:
         raise ConfigError(f"unknown mode {config.mode!r}, expected one of {MODES}")
     if hp.num_classes != num_classes:
@@ -137,6 +138,10 @@ def validate_config(config: TrainConfig, num_classes: int) -> None:
         raise ConfigError(f"epochs must be positive, got {hp.epochs}")
     if hp.batch_size < 1:
         raise ConfigError(f"batch size must be positive, got {hp.batch_size}")
+    if hp.batch_size > train_ds.num_samples:
+        raise ConfigError(
+            f"batch size {hp.batch_size} exceeds the {train_ds.num_samples} training rows"
+        )
     if config.eval_every < 1:
         raise ConfigError(f"eval_every must be positive, got {config.eval_every}")
     if not config.feature_widths:
@@ -207,6 +212,15 @@ def _save_state(path, config, epoch, model, optimizer, bank) -> str:
     return str(path)
 
 
+def _metrics_through(path, epoch: int) -> list[str]:
+    """The complete lines of an existing metrics file up to ``epoch``, so a
+    run resumed into its own directory keeps its history."""
+    if not os.path.exists(path):
+        return []
+    with open(path) as fh:
+        return [l for l in fh if l.endswith("\n") and json.loads(l)["epoch"] <= epoch]
+
+
 def train(
     config: TrainConfig,
     train_ds: Optional[data_mod.Dataset] = None,
@@ -221,6 +235,8 @@ def train(
     grouped momentum-SGD step; and, for learnable codes, push the clipped
     straight-through gradient into the code bank. Metrics are emitted at
     ``eval_every`` cadence using only the inference path (trunk+classifier).
+    A resumed run keeps the ``metrics.jsonl`` lines up to the checkpoint's
+    epoch and the ``corr_init.csv`` already in ``out_dir``.
     """
     if train_ds is None:
         if not config.train_data:
@@ -231,7 +247,7 @@ def train(
             raise ConfigError("no test dataset: set test_data or pass one in")
         test_ds = data_mod.load_csv(config.test_data)
     hp = config.hp
-    validate_config(config, train_ds.num_classes)
+    validate_config(config, train_ds)
     if test_ds.y.max() >= hp.num_classes:
         raise ConfigError(
             f"test labels reach {int(test_ds.y.max())}, config has {hp.num_classes} classes"
@@ -266,8 +282,12 @@ def train(
     metrics_fh = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        metrics_fh = open(os.path.join(out_dir, "metrics.jsonl"), "w")
-        export_code_correlation(bank, os.path.join(out_dir, "corr_init.csv"))
+        metrics_path = os.path.join(out_dir, "metrics.jsonl")
+        kept = [] if resume_from is None else _metrics_through(metrics_path, start_epoch)
+        metrics_fh = open(metrics_path, "w")
+        metrics_fh.writelines(kept)
+        if resume_from is None:
+            export_code_correlation(bank, os.path.join(out_dir, "corr_init.csv"))
 
     plan = data_mod.BatchPlan(
         batch_size=hp.batch_size, seed=derive_seed(hp.seed, STREAM_BATCHES)

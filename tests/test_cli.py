@@ -161,6 +161,26 @@ class TestTrain:
         assert code == 2
         assert "config says 7 classes, data has 4" in capsys.readouterr().err
 
+    def test_non_finite_feature_exit_2(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        lines = train.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[3] = "nan"
+        lines[5] = ",".join(fields)
+        train.write_text("\n".join(lines) + "\n")
+        code = run_cli(*self.train_args(tmp_path, train, test, "--mode", "ltc"))
+        assert code == 2
+        assert f"{train}:6: non-finite value in f2" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_batch_larger_than_train_set_exit_2(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        code = run_cli(*self.train_args(tmp_path, train, test, "--mode", "ltc",
+                                        "--set", "batch_size=161"))
+        assert code == 2
+        assert "batch size 161 exceeds the 160 training rows" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_exit_2(self, tmp_path):
         assert run_cli("train", "--mode", "baseline",
                        "--out", str(tmp_path / "r")) == 2

@@ -1,5 +1,7 @@
 """Matrix validation, RNG determinism, and the finite-difference checker."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,106 @@ class TestRng:
         r2 = Rng(0)
         r2.state = saved
         assert [r2.next_u64() for _ in range(5)] == expected
+
+
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _unxorshift(y, s):
+    """Inverse of x -> x ^ (x >> s) on 64-bit words."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def state_before_output(out, ahead=0):
+    """A generator state whose (ahead+1)-th next_u64() returns ``out``."""
+    z = _unxorshift(out, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _M64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _M64
+    z = _unxorshift(z, 30)
+    return (z - (ahead + 1) * _GOLDEN) & _M64
+
+
+def reference_shuffle(rng, items):
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def reference_sample(rng, n, k):
+    pool = list(range(n))
+    for i in range(k):
+        j = i + rng.below(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+class TestBulkRngMatchesScalar:
+    """The bulk methods reproduce the scalar stream bit for bit."""
+
+    SEEDS = (0, 1, 2**63 + 7, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (128, 100)])
+    def test_normals_equal_normal_loop(self, seed, shape):
+        bulk, scalar = Rng(seed), Rng(seed)
+        got = bulk.normals(*shape)
+        want = np.array([scalar.normal() for _ in range(shape[0] * shape[1])])
+        assert got.shape == shape
+        assert got.tobytes() == want.reshape(shape).tobytes()
+        assert bulk.state == scalar.state
+        assert bulk.next_u64() == scalar.next_u64()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 827])
+    def test_shuffle_and_sample_equal_reference(self, seed, n):
+        bulk, scalar = Rng(seed), Rng(seed)
+        got, want = list(range(n)), list(range(n))
+        bulk.shuffle(got)
+        reference_shuffle(scalar, want)
+        assert got == want
+        assert bulk.sample(n, n // 2) == reference_sample(scalar, n, n // 2)
+        assert bulk.state == scalar.state
+        assert bulk.next_u64() == scalar.next_u64()
+
+    def test_crafted_state_hits_all_ones(self):
+        r = Rng(0)
+        r.state = state_before_output(_M64, ahead=3)
+        assert [r.next_u64() == _M64 for _ in range(5)] == [False, False, False, True, False]
+
+    @pytest.mark.parametrize("ahead", [0, 5])
+    def test_rejected_draw_in_shuffle(self, ahead):
+        # 2**64 - 1 is rejected for every bound that is not a power of two
+        start = state_before_output(_M64, ahead)
+        bulk, scalar = Rng(0), Rng(0)
+        bulk.state = scalar.state = start
+        got, want = list(range(827)), list(range(827))
+        bulk.shuffle(got)
+        reference_shuffle(scalar, want)
+        assert got == want
+        assert bulk.state == scalar.state == (start + 827 * _GOLDEN) & _M64  # one extra draw
+
+    @pytest.mark.parametrize("ahead", [0, 5])
+    def test_rejected_draw_in_sample(self, ahead):
+        start = state_before_output(_M64, ahead)
+        bulk, scalar = Rng(0), Rng(0)
+        bulk.state = scalar.state = start
+        assert bulk.sample(100, 30) == reference_sample(scalar, 100, 30)
+        assert bulk.state == scalar.state == (start + 31 * _GOLDEN) & _M64
+
+    def test_pinned_normals_digest(self):
+        digest = hashlib.sha256(Rng(0).normals(64, 64).tobytes()).hexdigest()
+        assert digest == "154ecb0d74ebbb33e3018585cd4f6beb86902840f840c1c2a10285ff9f080e69"
+
+    def test_pinned_shuffle_digest(self):
+        items = list(range(1000))
+        Rng(1).shuffle(items)
+        digest = hashlib.sha256(np.array(items, dtype="<i8").tobytes()).hexdigest()
+        assert digest == "6a3c3ee95ecd16063d198fd4b73352506fcbad741351eee78f2b56009f743bc9"
 
 
 class TestDeriveSeed:

@@ -209,6 +209,13 @@ class TestCsv:
         with pytest.raises(FormatError):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,0.5,{value}\n")
+        with pytest.raises(FormatError, match=r"nonfinite\.csv:3: non-finite value in f1"):
+            load_csv(path)
+
 
 class TestBatches:
     def dataset(self, n=20):

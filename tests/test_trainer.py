@@ -150,6 +150,21 @@ class TestDeterminismAndResume:
         resumed_lines = (tmp_path / "resumed" / "metrics.jsonl").read_text().splitlines()
         assert resumed_lines == full_lines[6:]
 
+    def test_resume_into_same_dir_keeps_history(self, tmp_path):
+        train_ds, test_ds = blob_sets()
+        for name in ("full", "resumed"):
+            cfg = small_config("ltc", epochs=6, out_dir=str(tmp_path / name))
+            cfg.checkpoint_every = 3
+            tm.train(cfg, train_ds, test_ds)
+        run = tmp_path / "resumed"
+        corr_init = (run / "corr_init.csv").read_bytes()
+        cfg = small_config("ltc", epochs=6, out_dir=str(run))
+        tm.train(cfg, train_ds, test_ds, resume_from=str(run / "ckpt_epoch3.ltck"))
+        assert (run / "metrics.jsonl").read_bytes() == (
+            tmp_path / "full" / "metrics.jsonl"
+        ).read_bytes()
+        assert (run / "corr_init.csv").read_bytes() == corr_init
+
     def test_resume_rejects_mismatched_dims(self, tmp_path):
         train_ds, test_ds = blob_sets()
         cfg = small_config("ltc", epochs=4, out_dir=str(tmp_path / "src"))
