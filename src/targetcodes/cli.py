@@ -221,7 +221,10 @@ def cmd_train(args) -> int:
     test_ds = data_mod.load_csv(values["test_data"])
     values.setdefault("num_classes", train_ds.num_classes)
     config = _build_train_config(values, train_ds.num_classes)
-    trainer_mod.validate_config(config, train_ds)
+    # refuse the run, a resume included, before anything under out_dir changes
+    trainer_mod.validate_config(config, train_ds, test_ds)
+    if args.resume:
+        trainer_mod.load_resume_state(args.resume, config, train_ds.X.shape[1])
     os.makedirs(config.out_dir, exist_ok=True)
     values["margin"] = config.hp.margin
     with open(os.path.join(config.out_dir, "resolved.cfg"), "w") as fh:
@@ -355,7 +358,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TargetCodesError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (TargetCodesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

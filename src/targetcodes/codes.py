@@ -244,8 +244,7 @@ def _read_bank_v1(rd: Reader) -> CodeBank:
     # v1: u32 kind, u32 K, u32 L, f64 tanh scale, K*L f64; no activation
     # field, and every v1 bank was read as sign
     kind_code, k, length, tanh_scale = rd.unpack("<IIId")
-    w = np.frombuffer(rd.take(8 * k * length), dtype="<f8").astype(np.float64)
-    return _decode_bank(kind_code, _ACTIVATION_CODES[SIGN], tanh_scale, w.reshape(k, length))
+    return _decode_bank(kind_code, _ACTIVATION_CODES[SIGN], tanh_scale, rd.floats(k, length))
 
 
 def _decode_bank(kind_code: int, act_code: int, tanh_scale: float, weights) -> CodeBank:

@@ -69,8 +69,15 @@ class Reader:
     def matrix(self) -> Matrix:
         """Read one matrix written by :func:`pack_matrix`."""
         r, c = self.unpack("<II")
-        data = np.frombuffer(self.take(8 * r * c), dtype="<f8").astype(np.float64)
-        return data.reshape(r, c)
+        return self.floats(r, c)
+
+    def floats(self, rows: int, cols: int) -> Matrix:
+        """Read ``rows * cols`` f64 values as a matrix; NaN or infinity
+        raises FormatError."""
+        data = np.frombuffer(self.take(8 * rows * cols), dtype="<f8").astype(np.float64)
+        if not np.isfinite(data).all():
+            raise FormatError(f"non-finite value in {self.what} file")
+        return data.reshape(rows, cols)
 
     def finish(self) -> None:
         """Reject bytes left over after the last field."""

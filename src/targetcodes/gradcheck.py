@@ -126,10 +126,9 @@ def _network_instance(rng: Rng, hp: Hyperparams):
         _, _, v, cache = net_mod.forward(model, x, semantic=True)
         # the cache keeps layer inputs and outputs, not pre-activations, so
         # recompute each ReLU pre-activation from its cached input
-        io = zip(model.feature + model.encoder, cache.feature_io + cache.encoder_io)
         if any(
             np.abs(inp @ layer.weight + layer.bias).min() <= 1e-3
-            for layer, (inp, _) in io
+            for layer, (inp, _) in zip(model.all_layers(), cache.io)
             if layer.activation == net_mod.RELU
         ):
             continue
@@ -142,13 +141,9 @@ def _network_instance(rng: Rng, hp: Hyperparams):
     raise DomainError("could not sample a kink-free network instance")
 
 
-def _network_loss(model, x, y, s, hp) -> losses_mod.LossBundle:
+def _network_loss(model, x, y, s, hp) -> tuple[losses_mod.LossBundle, net_mod.ForwardCache]:
     _, logits, v, cache = net_mod.forward(model, x, semantic=True)
-    ce = losses_mod.cross_entropy(logits, y)
-    mse = losses_mod.mse_codes(v, s, y)
-    triplet = losses_mod.triplet_global(v, s, y, hp.margin)
-    corr = losses_mod.corr_consistency(s)
-    return losses_mod.compose_objective(losses_mod.LTC, hp, ce, mse, triplet, corr), cache
+    return losses_mod.compose_objective(losses_mod.LTC, hp, logits, v, s, y), cache
 
 
 def _check_network(rng: Rng, h: float, tol: float) -> GradCheckReport:
@@ -157,10 +152,7 @@ def _check_network(rng: Rng, h: float, tol: float) -> GradCheckReport:
         model, x, y, s = _network_instance(rng, hp)
         bundle, cache = _network_loss(model, x, y, s, hp)
         grads = net_mod.backward(model, cache, bundle.grad_logits, bundle.grad_semantic)
-        flat = np.concatenate(
-            [np.concatenate([gw.ravel(), gb.ravel()])
-             for gw, gb in grads.feature + [grads.classifier] + grads.encoder]
-        )
+        flat = np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in grads])
         nonzero = np.abs(flat[flat != 0.0])
         # entries near the central-difference resolution limit at h=1e-5
         # (roundoff eps*|f|/2h plus h^2 truncation) cannot be compared at
@@ -170,10 +162,8 @@ def _check_network(rng: Rng, h: float, tol: float) -> GradCheckReport:
         break
     else:
         raise DomainError("could not sample a resolvable network instance")
-    layers = model.all_layers()
-    layer_grads = list(grads.feature) + [grads.classifier] + list(grads.encoder)
     worst = GradCheckReport(0.0, 0.0, (0, 0), True)
-    for layer, (gw, gb) in zip(layers, layer_grads):
+    for layer, (gw, gb) in zip(model.all_layers(), grads):
         for attr, analytic in (("weight", gw), ("bias", gb)):
             original = getattr(layer, attr)
 

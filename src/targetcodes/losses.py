@@ -3,9 +3,9 @@
 Four pieces: cross-entropy on logits, mean-squared error between semantic
 codes and their class codewords, a global margin triplet loss over all
 negative classes, and a correlation-consistency penalty pushing codewords
-toward mutual orthogonality. ``compose_objective`` merges them into the
-three training objectives (plain cross-entropy, fixed-code regularization,
-learnable-code regularization).
+toward mutual orthogonality. ``compose_objective`` evaluates the parts a
+training objective needs on one batch (plain cross-entropy, fixed-code
+regularization, learnable-code regularization) and merges them.
 """
 
 from __future__ import annotations
@@ -197,45 +197,28 @@ def corr_consistency(codes) -> tuple[float, Matrix]:
     return loss, grad_s
 
 
-def compose_objective(
-    mode: str,
-    hp: Hyperparams,
-    ce: tuple[float, Matrix],
-    mse: Optional[tuple[float, Matrix, Matrix]] = None,
-    triplet: Optional[tuple[float, Matrix, Matrix]] = None,
-    corr: Optional[tuple[float, Matrix]] = None,
-) -> LossBundle:
-    """Merge loss parts into the weighted objective for ``mode``.
+def compose_objective(mode: str, hp: Hyperparams, logits, semantic, codes, labels) -> LossBundle:
+    """The weighted objective for ``mode`` on one batch, with its gradients.
 
-    baseline uses cross-entropy alone; htc adds the weighted MSE with the
-    codeword gradient forced to zero (fixed codes); ltc adds the weighted
-    triplet and correlation terms and sums all codeword gradients.
+    baseline is cross-entropy on ``logits`` alone (``semantic`` and
+    ``codes`` are unused and may be None); htc adds the weighted MSE between
+    the semantic codes and their fixed class codewords; ltc adds the
+    weighted triplet and correlation terms and sums all codeword gradients.
     """
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
-    ce_loss, grad_logits = ce
+    ce_loss, grad_logits = cross_entropy(logits, labels)
     if mode == BASELINE:
         return LossBundle(mode, ce_loss, ce_loss, 0.0, 0.0, 0.0, grad_logits)
-    if mse is None:
-        raise UsageError(f"mode {mode!r} requires the mse part")
-    mse_loss, mse_gv, mse_gs = mse
+    mse_loss, mse_gv, mse_gs = mse_codes(semantic, codes, labels)
     if mode == HTC:
         total = ce_loss + hp.mse_weight * mse_loss
         return LossBundle(
-            mode,
-            total,
-            ce_loss,
-            mse_loss,
-            0.0,
-            0.0,
-            grad_logits,
+            mode, total, ce_loss, mse_loss, 0.0, 0.0, grad_logits,
             grad_semantic=hp.mse_weight * mse_gv,
-            grad_codes=np.zeros_like(mse_gs),
         )
-    if triplet is None or corr is None:
-        raise UsageError("mode 'ltc' requires the triplet and corr parts")
-    tri_loss, tri_gv, tri_gs = triplet
-    corr_loss, corr_gs = corr
+    tri_loss, tri_gv, tri_gs = triplet_global(semantic, codes, labels, hp.margin)
+    corr_loss, corr_gs = corr_consistency(codes)
     total = (
         ce_loss
         + hp.mse_weight * mse_loss

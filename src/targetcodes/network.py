@@ -74,22 +74,12 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Per-layer (input, output) pairs captured by forward for backward."""
+    """One (input, output) pair per layer that forward ran, in
+    ``all_layers()`` order; the encoder's pairs are absent when the
+    semantic branch was skipped."""
 
     model: ModelParams
-    feature_io: list[tuple[Matrix, Matrix]]
-    classifier_io: tuple[Matrix, Matrix]
-    encoder_io: Optional[list[tuple[Matrix, Matrix]]]
-
-
-@dataclass
-class ModelGrads:
-    """Parameter gradients mirroring ModelParams; encoder is None when the
-    semantic branch was not run."""
-
-    feature: list[tuple[Matrix, Matrix]]
-    classifier: tuple[Matrix, Matrix]
-    encoder: Optional[list[tuple[Matrix, Matrix]]]
+    io: list[tuple[Matrix, Matrix]]
 
 
 def _layer_forward(layer: DenseLayer, x: Matrix) -> Matrix:
@@ -117,6 +107,30 @@ def _layer_backward(
     return gw, gb, grad_pre @ layer.weight.T
 
 
+def layer_specs(
+    input_dim: int,
+    feature_widths: tuple[int, ...],
+    num_classes: int,
+    encoder_hidden: int,
+    code_length: int,
+) -> list[tuple[int, int, str]]:
+    """(fan_in, fan_out, activation) of every layer, in ``all_layers()``
+    order: the ReLU feature layers, the linear classifier, and the
+    ReLU-ReLU-tanh semantic encoder."""
+    specs = []
+    width = input_dim
+    for w in feature_widths:
+        specs.append((width, int(w), RELU))
+        width = int(w)
+    specs.append((width, num_classes, NONE))
+    specs += [
+        (width, encoder_hidden, RELU),
+        (encoder_hidden, encoder_hidden, RELU),
+        (encoder_hidden, code_length, TANH),
+    ]
+    return specs
+
+
 def init_model(
     input_dim: int,
     feature_widths: tuple[int, ...],
@@ -132,27 +146,15 @@ def init_model(
     """
     if input_dim < 1 or num_classes < 1 or encoder_hidden < 1 or code_length < 1:
         raise DomainError("all model dimensions must be positive")
-
-    def dense(fan_in, fan_out, activation):
-        std = np.sqrt(2.0 / fan_in) if activation == RELU else np.sqrt(1.0 / fan_in)
-        return DenseLayer(
-            weight=rng.normals(fan_in, fan_out) * std,
-            bias=np.zeros((1, fan_out)),
-            activation=activation,
+    layers = []
+    specs = layer_specs(input_dim, feature_widths, num_classes, encoder_hidden, code_length)
+    for fan_in, fan_out, act in specs:
+        std = np.sqrt(2.0 / fan_in) if act == RELU else np.sqrt(1.0 / fan_in)
+        layers.append(
+            DenseLayer(rng.normals(fan_in, fan_out) * std, np.zeros((1, fan_out)), act)
         )
-
-    feature = []
-    width = input_dim
-    for w in feature_widths:
-        feature.append(dense(width, int(w), RELU))
-        width = int(w)
-    classifier = dense(width, num_classes, NONE)
-    encoder = [
-        dense(width, encoder_hidden, RELU),
-        dense(encoder_hidden, encoder_hidden, RELU),
-        dense(encoder_hidden, code_length, TANH),
-    ]
-    return ModelParams(feature=feature, classifier=classifier, encoder=encoder)
+    n = len(feature_widths)
+    return ModelParams(feature=layers[:n], classifier=layers[n], encoder=layers[n + 1 :])
 
 
 def forward(
@@ -169,27 +171,23 @@ def forward(
         raise DimensionError(
             f"input dim {x.shape[1]} does not match first layer {first.weight.shape[0]}"
         )
-    feature_io = []
+    io = []
     h = x
     for layer in model.feature:
         out = _layer_forward(layer, h)
-        feature_io.append((h, out))
+        io.append((h, out))
         h = out
     z = h
     logits = _layer_forward(model.classifier, z)
-    classifier_io = (z, logits)
-    encoder_io = None
+    io.append((z, logits))
     v = None
     if semantic:
-        encoder_io = []
-        h = z
         for layer in model.encoder:
             out = _layer_forward(layer, h)
-            encoder_io.append((h, out))
+            io.append((h, out))
             h = out
         v = h
-    cache = ForwardCache(model, feature_io, classifier_io, encoder_io)
-    return z, logits, v, cache
+    return z, logits, v, ForwardCache(model, io)
 
 
 def backward(
@@ -197,48 +195,47 @@ def backward(
     cache: ForwardCache,
     grad_logits,
     grad_semantic=None,
-) -> ModelGrads:
-    """Exact reverse-mode parameter gradients for one forward pass.
+) -> list[tuple[Matrix, Matrix]]:
+    """Exact reverse-mode parameter gradients for one forward pass, one
+    (grad_weight, grad_bias) pair per layer in ``all_layers()`` order.
 
     The feature trunk receives the sum of the classifier-path and
     semantic-path gradients. Pass ``grad_semantic=None`` to skip the
-    encoder entirely (its gradient slot in the result is then None).
+    encoder entirely; its pairs are then absent from the result.
     """
     if cache.model is not model:
         raise UsageError("cache does not belong to this model")
+    layers = model.all_layers()
+    n = len(model.feature)
     grad_logits = as_matrix(grad_logits)
-    z, logits = cache.classifier_io
+    z, logits = cache.io[n]
     if grad_logits.shape != logits.shape:
         raise DimensionError(
             f"grad_logits shape {grad_logits.shape} does not match logits {logits.shape}"
         )
-    gw_c, gb_c, grad_z = _layer_backward(model.classifier, z, logits, grad_logits)
-
-    encoder_grads = None
+    grads = [None] * (n + 1)
+    gw, gb, grad_z = _layer_backward(model.classifier, z, logits, grad_logits)
+    grads[n] = (gw, gb)
     if grad_semantic is not None:
-        if cache.encoder_io is None:
+        if len(cache.io) != len(layers):
             raise UsageError("forward pass skipped the semantic branch")
         grad_semantic = as_matrix(grad_semantic)
-        v = cache.encoder_io[-1][1]
+        v = cache.io[-1][1]
         if grad_semantic.shape != v.shape:
             raise DimensionError(
                 f"grad_semantic shape {grad_semantic.shape} does not match codes {v.shape}"
             )
-        encoder_grads = [None] * len(model.encoder)
+        grads += [None] * len(model.encoder)
         g = grad_semantic
-        for i in range(len(model.encoder) - 1, -1, -1):
-            x_i, out_i = cache.encoder_io[i]
-            gw, gb, g = _layer_backward(model.encoder[i], x_i, out_i, g)
-            encoder_grads[i] = (gw, gb)
+        for i in range(len(layers) - 1, n, -1):
+            gw, gb, g = _layer_backward(layers[i], *cache.io[i], g)
+            grads[i] = (gw, gb)
         grad_z = grad_z + g
-
-    feature_grads = [None] * len(model.feature)
     g = grad_z
-    for i in range(len(model.feature) - 1, -1, -1):
-        x_i, out_i = cache.feature_io[i]
-        gw, gb, g = _layer_backward(model.feature[i], x_i, out_i, g)
-        feature_grads[i] = (gw, gb)
-    return ModelGrads(feature=feature_grads, classifier=(gw_c, gb_c), encoder=encoder_grads)
+    for i in range(n - 1, -1, -1):
+        gw, gb, g = _layer_backward(layers[i], *cache.io[i], g)
+        grads[i] = (gw, gb)
+    return grads
 
 
 @dataclass
@@ -247,8 +244,10 @@ class Optimizer:
     step-decay schedule shared by every group.
 
     ``decay_codes=False`` exempts the code learning rate from the schedule.
-    Momentum buffers exist for model parameters only; learnable codes take
-    plain gradient steps at ``lr(GROUP_CODES, epoch)``.
+    ``bufs`` holds one (weight, bias) momentum buffer pair per layer in
+    ``all_layers()`` order. Momentum buffers exist for model parameters
+    only; learnable codes take plain gradient steps at
+    ``lr(GROUP_CODES, epoch)``.
     """
 
     momentum: float
@@ -259,9 +258,7 @@ class Optimizer:
     decay_epochs: tuple[int, ...]
     decay_factor: float
     decay_codes: bool = True
-    feature_bufs: list[tuple[Matrix, Matrix]] = field(default_factory=list, repr=False)
-    classifier_buf: Optional[tuple[Matrix, Matrix]] = field(default=None, repr=False)
-    encoder_bufs: list[tuple[Matrix, Matrix]] = field(default_factory=list, repr=False)
+    bufs: list[tuple[Matrix, Matrix]] = field(default_factory=list, repr=False)
 
     def lr(self, group: str, epoch: int) -> float:
         base = {
@@ -277,10 +274,6 @@ class Optimizer:
 
 def init_optimizer(model: ModelParams, hp, decay_codes: bool = True) -> Optimizer:
     """Fresh optimizer with zeroed momentum buffers for ``model``."""
-
-    def zeros_like_layer(layer):
-        return (np.zeros_like(layer.weight), np.zeros_like(layer.bias))
-
     return Optimizer(
         momentum=hp.momentum,
         weight_decay=hp.weight_decay,
@@ -290,9 +283,7 @@ def init_optimizer(model: ModelParams, hp, decay_codes: bool = True) -> Optimize
         decay_epochs=tuple(hp.decay_epochs),
         decay_factor=hp.decay_factor,
         decay_codes=decay_codes,
-        feature_bufs=[zeros_like_layer(l) for l in model.feature],
-        classifier_buf=zeros_like_layer(model.classifier),
-        encoder_bufs=[zeros_like_layer(l) for l in model.encoder],
+        bufs=[(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.all_layers()],
     )
 
 
@@ -307,32 +298,27 @@ def _apply_sgd(layer: DenseLayer, buf, grads, lr, momentum, weight_decay):
     layer.bias -= lr * bb
 
 
-def sgd_step(opt: Optimizer, model: ModelParams, grads: ModelGrads, epoch: int) -> None:
+def sgd_step(
+    opt: Optimizer, model: ModelParams, grads: list[tuple[Matrix, Matrix]], epoch: int
+) -> None:
     """One optimizer step: buf <- momentum*buf + grad + wd*param, then
     param <- param - lr(group, epoch)*buf.
 
-    Skips the encoder when its gradients are absent (plain classification).
-    All gradients are validated before any parameter changes, so a numeric
-    error leaves the model untouched.
+    ``grads`` is what :func:`backward` returns; the encoder is skipped when
+    its gradients are absent (plain classification). All gradients are
+    validated before any parameter changes, so a numeric error leaves the
+    model untouched.
     """
-    if len(grads.feature) != len(model.feature):
-        raise DimensionError("feature gradient count does not match model")
-    if grads.encoder is not None and len(grads.encoder) != len(model.encoder):
-        raise DimensionError("encoder gradient count does not match model")
-    checked = list(grads.feature) + [grads.classifier] + list(grads.encoder or [])
-    for gw, gb in checked:
+    n = len(model.feature)
+    if len(grads) not in (n + 1, len(model.all_layers())):
+        raise DimensionError("gradient count does not match model")
+    for gw, gb in grads:
         if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
             raise NumericError("parameter gradient contains non-finite entries")
     lr_f = opt.lr(GROUP_FEATURE, epoch)
     lr_n = opt.lr(GROUP_NEW, epoch)
-    for layer, buf, g in zip(model.feature, opt.feature_bufs, grads.feature):
-        _apply_sgd(layer, buf, g, lr_f, opt.momentum, opt.weight_decay)
-    _apply_sgd(
-        model.classifier, opt.classifier_buf, grads.classifier, lr_n, opt.momentum, opt.weight_decay
-    )
-    if grads.encoder is not None:
-        for layer, buf, g in zip(model.encoder, opt.encoder_bufs, grads.encoder):
-            _apply_sgd(layer, buf, g, lr_n, opt.momentum, opt.weight_decay)
+    for i, (layer, buf, g) in enumerate(zip(model.all_layers(), opt.bufs, grads)):
+        _apply_sgd(layer, buf, g, lr_f if i < n else lr_n, opt.momentum, opt.weight_decay)
 
 
 # --- checkpoint serialization ------------------------------------------------
@@ -401,10 +387,9 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     parts.append(struct.pack("<Id", len(opt.decay_epochs), opt.decay_factor))
     for d in opt.decay_epochs:
         parts.append(struct.pack("<I", d))
-    for bufs in (opt.feature_bufs, [opt.classifier_buf], opt.encoder_bufs):
-        for bw, bb in bufs:
-            parts.append(pack_matrix(bw))
-            parts.append(pack_matrix(bb))
+    for bw, bb in opt.bufs:
+        parts.append(pack_matrix(bw))
+        parts.append(pack_matrix(bb))
     if state.bank is None:
         parts.append(struct.pack("<B", 0))
     else:
@@ -459,10 +444,8 @@ def load_checkpoint(path) -> CheckpointState:
         decay_epochs=decay_epochs,
         decay_factor=decay_factor,
         decay_codes=decay_codes,
+        bufs=[(rd.matrix(), rd.matrix()) for _ in model.all_layers()],
     )
-    opt.feature_bufs = [(rd.matrix(), rd.matrix()) for _ in feature]
-    opt.classifier_buf = (rd.matrix(), rd.matrix())
-    opt.encoder_bufs = [(rd.matrix(), rd.matrix()) for _ in encoder]
     (has_bank,) = rd.unpack("<B")
     bank = codes_mod.read_bank(rd) if has_bank else None
     rd.finish()

@@ -30,7 +30,7 @@ from .errors import (
     NumericError,
     TrainingDiverged,
 )
-from .losses import BASELINE, HTC, LTC, MODES, Hyperparams
+from .losses import HTC, LTC, MODES, Hyperparams
 
 log = logging.getLogger("targetcodes")
 
@@ -109,7 +109,9 @@ class TrainResult:
     final_checkpoint: Optional[str] = None
 
 
-def validate_config(config: TrainConfig, train_ds: data_mod.Dataset) -> None:
+def validate_config(
+    config: TrainConfig, train_ds: data_mod.Dataset, test_ds: data_mod.Dataset
+) -> None:
     """Fail fast on invalid configs, before any compute or output."""
     hp = config.hp
     num_classes = train_ds.num_classes
@@ -146,6 +148,14 @@ def validate_config(config: TrainConfig, train_ds: data_mod.Dataset) -> None:
         raise ConfigError(f"eval_every must be positive, got {config.eval_every}")
     if not config.feature_widths:
         raise ConfigError("feature_widths must name at least one layer")
+    if test_ds.y.max() >= hp.num_classes:
+        raise ConfigError(
+            f"test labels reach {int(test_ds.y.max())}, config has {hp.num_classes} classes"
+        )
+    if test_ds.X.shape[1] != train_ds.X.shape[1]:
+        raise ConfigError(
+            f"train dim {train_ds.X.shape[1]} does not match test dim {test_ds.X.shape[1]}"
+        )
 
 
 def _init_bank(config: TrainConfig, num_classes: int) -> codes_mod.CodeBank:
@@ -163,39 +173,50 @@ def _init_bank(config: TrainConfig, num_classes: int) -> codes_mod.CodeBank:
     )
 
 
-def _expected_layer_shapes(config: TrainConfig, input_dim: int) -> list[tuple[int, int]]:
-    shapes = []
-    width = input_dim
-    for w in config.feature_widths:
-        shapes.append((width, int(w)))
-        width = int(w)
-    shapes.append((width, config.hp.num_classes))
-    h = config.encoder_hidden
-    shapes.extend([(width, h), (h, h), (h, config.hp.code_length)])
-    return shapes
+# Optimizer settings an LTCK checkpoint stores; a resume must not change them.
+_OPTIMIZER_FIELDS = (
+    "momentum", "weight_decay", "lr_feature", "lr_new", "lr_codes",
+    "decay_epochs", "decay_factor", "decay_codes",
+)
 
 
 def _check_resume_state(
     state: net_mod.CheckpointState, config: TrainConfig, input_dim: int
 ) -> None:
+    hp = config.hp
     if state.mode != config.mode:
         raise ConfigError(
             f"checkpoint was written in mode {state.mode!r}, config says {config.mode!r}"
         )
-    if state.seed != config.hp.seed:
+    if state.seed != hp.seed:
         raise ConfigError(
-            f"checkpoint seed {state.seed} does not match config seed {config.hp.seed}"
+            f"checkpoint seed {state.seed} does not match config seed {hp.seed}"
         )
-    got = [tuple(l.weight.shape) for l in state.model.all_layers()]
-    want = _expected_layer_shapes(config, input_dim)
+    for name in _OPTIMIZER_FIELDS:
+        got = getattr(state.optimizer, name)
+        want = config.decay_codes if name == "decay_codes" else getattr(hp, name)
+        if got != want:
+            raise ConfigError(f"checkpoint {name} {got!r} does not match config {name} {want!r}")
+    got = [(*l.weight.shape, l.activation) for l in state.model.all_layers()]
+    want = net_mod.layer_specs(
+        input_dim, config.feature_widths, hp.num_classes, config.encoder_hidden, hp.code_length
+    )
     if got != want:
-        raise DimensionError(
-            f"checkpoint layer shapes {got} do not match config {want}"
-        )
-    if state.epoch > config.hp.epochs:
+        raise DimensionError(f"checkpoint layers {got} do not match config {want}")
+    if state.epoch > hp.epochs:
         raise ConfigError(
-            f"checkpoint is at epoch {state.epoch}, config trains only {config.hp.epochs}"
+            f"checkpoint is at epoch {state.epoch}, config trains only {hp.epochs}"
         )
+    if state.bank is None:
+        raise ConfigError("checkpoint is missing the code bank")
+
+
+def load_resume_state(path, config: TrainConfig, input_dim: int) -> net_mod.CheckpointState:
+    """Read the checkpoint at ``path`` and refuse it unless ``config`` would
+    continue the same run: same mode, seed, optimizer settings and layers."""
+    state = net_mod.load_checkpoint(path)
+    _check_resume_state(state, config, input_dim)
+    return state
 
 
 def _save_state(path, config, epoch, model, optimizer, bank) -> str:
@@ -247,24 +268,13 @@ def train(
             raise ConfigError("no test dataset: set test_data or pass one in")
         test_ds = data_mod.load_csv(config.test_data)
     hp = config.hp
-    validate_config(config, train_ds)
-    if test_ds.y.max() >= hp.num_classes:
-        raise ConfigError(
-            f"test labels reach {int(test_ds.y.max())}, config has {hp.num_classes} classes"
-        )
+    validate_config(config, train_ds, test_ds)
     input_dim = train_ds.X.shape[1]
-    if test_ds.X.shape[1] != input_dim:
-        raise ConfigError(
-            f"train dim {input_dim} does not match test dim {test_ds.X.shape[1]}"
-        )
 
     start_epoch = 0
     if resume_from is not None:
-        state = net_mod.load_checkpoint(resume_from)
-        _check_resume_state(state, config, input_dim)
+        state = load_resume_state(resume_from, config, input_dim)
         model, optimizer, bank = state.model, state.optimizer, state.bank
-        if bank is None:
-            raise ConfigError("checkpoint is missing the code bank")
         start_epoch = state.epoch
     else:
         bank = _init_bank(config, hp.num_classes)
@@ -314,21 +324,9 @@ def train(
             for idx in data_mod.batches(train_ds, plan, epoch):
                 xb = train_ds.X[idx]
                 yb = train_ds.y[idx]
-                if regularized:
-                    _, logits, v, cache = net_mod.forward(model, xb, semantic=True)
-                    s = codes_mod.activate(bank)
-                    ce = losses_mod.cross_entropy(logits, yb)
-                    mse = losses_mod.mse_codes(v, s, yb)
-                    if config.mode == LTC:
-                        triplet = losses_mod.triplet_global(v, s, yb, hp.margin)
-                        corr = losses_mod.corr_consistency(s)
-                        bundle = losses_mod.compose_objective(LTC, hp, ce, mse, triplet, corr)
-                    else:
-                        bundle = losses_mod.compose_objective(HTC, hp, ce, mse)
-                else:
-                    _, logits, _, cache = net_mod.forward(model, xb, semantic=False)
-                    ce = losses_mod.cross_entropy(logits, yb)
-                    bundle = losses_mod.compose_objective(BASELINE, hp, ce)
+                _, logits, v, cache = net_mod.forward(model, xb, semantic=regularized)
+                s = codes_mod.activate(bank) if regularized else None
+                bundle = losses_mod.compose_objective(config.mode, hp, logits, v, s, yb)
                 if not np.isfinite(bundle.total):
                     abort(f"non-finite loss {bundle.total}")
                 grads = net_mod.backward(
@@ -343,8 +341,6 @@ def train(
                         codes_mod.update_codes(
                             bank, grad_w, optimizer.lr(net_mod.GROUP_CODES, epoch)
                         )
-                except TrainingDiverged:
-                    raise
                 except NumericError as exc:  # grads validated before any mutation
                     abort(str(exc))
                 nb = len(idx)

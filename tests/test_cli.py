@@ -233,6 +233,56 @@ class TestTrain:
             tmp_path / "run" / "metrics.jsonl"
         ).read_bytes()
 
+    def snapshot(self, run_dir):
+        return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+
+    def test_refused_resume_leaves_out_dir_unchanged(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        base = self.train_args(tmp_path, train, test, "--set", "checkpoint_every=2")
+        assert run_cli(*base, "--mode", "ltc") == 0
+        run_dir = tmp_path / "run"
+        before = self.snapshot(run_dir)
+        code = run_cli(*base, "--mode", "htc", "--resume", str(run_dir / "ckpt_epoch2.ltck"))
+        assert code == 2
+        assert "checkpoint was written in mode 'ltc'" in capsys.readouterr().err
+        assert self.snapshot(run_dir) == before
+        # an accepted resume still records its config
+        code = run_cli(*base, "--mode", "ltc", "--set", "epochs=6",
+                       "--resume", str(run_dir / "ckpt_epoch2.ltck"))
+        assert code == 0
+        assert cli.parse_config_file(run_dir / "resolved.cfg")["epochs"] == 6
+
+    def test_resume_rejects_changed_optimizer_settings(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        base = self.train_args(tmp_path, train, test, "--mode", "ltc",
+                               "--set", "checkpoint_every=2")
+        assert run_cli(*base) == 0
+        ckpt = str(tmp_path / "run" / "ckpt_epoch2.ltck")
+        capsys.readouterr()
+        changes = {
+            "momentum": "0.0", "weight_decay": "0.5", "lr_feature": "0.5",
+            "lr_new": "0.5", "lr_codes": "0.5", "decay_epochs": "1",
+            "decay_factor": "0.5", "decay_codes": "false",
+        }
+        for key, value in changes.items():
+            code = run_cli(*base, "--set", f"{key}={value}", "--resume", ckpt)
+            assert code == 2, key
+            assert f"checkpoint {key} " in capsys.readouterr().err
+
+    def test_os_errors_exit_2(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        commands = [
+            self.train_args(tmp_path, train, test, "--out", str(afile / "sub")),
+            ["gen-codes", "--mode", "learnable", "--classes", "3", "--length", "4",
+             "--out", str(afile / "b.ltcb")],
+            self.train_args(tmp_path, f"{train}/", test),
+        ]
+        for argv in commands:
+            assert run_cli(*argv) == 2, argv
+            assert "error:" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_default_run_passes(self, capsys):

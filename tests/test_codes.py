@@ -270,6 +270,21 @@ class TestBankSerialization:
         assert loaded.tanh_scale == 2.5
         assert np.array_equal(loaded.weights, w)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_non_finite_weight_rejected(self, tmp_path, version):
+        w = Rng(11).normals(3, 4)
+        w[2, 1] = np.inf
+        path = tmp_path / "inf.ltcb"
+        if version == 1:
+            head = b"LTCB" + struct.pack("<IIIId", 1, 1, 3, 4, 1.0)
+            path.write_bytes(head + w.astype("<f8").tobytes())
+        else:
+            bank = init_learnable_codes(3, 4, Rng(11))
+            bank.weights[:] = w
+            save_bank(bank, path)
+        with pytest.raises(FormatError, match="non-finite"):
+            load_bank(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "long.ltcb"
         save_bank(init_learnable_codes(3, 4, Rng(8)), path)
@@ -296,9 +311,10 @@ class TestBankSerialization:
         path = tmp_path / "trunc.ltcb"
         save_bank(bank, path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(FormatError):
-            load_bank(path)
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(FormatError):
+                load_bank(path)
 
     def test_version_error(self, tmp_path):
         bank = init_learnable_codes(2, 2, Rng(9))

@@ -210,75 +210,67 @@ class TestCorrConsistency:
 
 class TestComposeObjective:
     def hp(self, **kw):
-        defaults = dict(num_classes=4, code_length=8)
+        defaults = dict(num_classes=4, code_length=8, margin=2.0)
         defaults.update(kw)
         return Hyperparams(**defaults)
 
-    def parts(self, rng):
+    def batch(self, rng):
+        """(logits, semantic, codes, labels) for one batch, and the four
+        loss parts computed on it directly."""
         n, k, length = 3, 4, 8
         logits = rng.normals(n, k)
         v = rng.normals(n, length)
         s = rng.normals(k, length)
         y = random_labels(rng, n, k)
-        return (
+        parts = (
             cross_entropy(logits, y),
             mse_codes(v, s, y),
             triplet_global(v, s, y, 2.0),
             corr_consistency(s),
         )
+        return (logits, v, s, y), parts
 
     def test_baseline_total_is_ce(self):
-        ce, *_ = self.parts(Rng(51))
-        bundle = compose_objective("baseline", self.hp(), ce)
+        (logits, _, _, y), (ce, *_) = self.batch(Rng(51))
+        bundle = compose_objective("baseline", self.hp(), logits, None, None, y)
         assert bundle.total == ce[0]
+        np.testing.assert_array_equal(bundle.grad_logits, ce[1])
         assert bundle.grad_semantic is None and bundle.grad_codes is None
 
     def test_zero_weights_reduce_to_ce_plus_mse(self):
-        ce, mse, tri, corr = self.parts(Rng(52))
+        inputs, (ce, mse, _, _) = self.batch(Rng(52))
         hp = self.hp(mse_weight=1.0, triplet_weight=0.0, corr_weight=0.0)
-        bundle = compose_objective("ltc", hp, ce, mse, tri, corr)
+        bundle = compose_objective("ltc", hp, *inputs)
         assert bundle.total == pytest.approx(ce[0] + mse[0], rel=1e-15)
-
-    def test_arithmetic_of_weighted_sum(self):
-        hp = self.hp(mse_weight=1.0, triplet_weight=0.01, corr_weight=0.1)
-        zeros = np.zeros((1, 1))
-        bundle = compose_objective(
-            "ltc", hp,
-            (1.0, zeros), (0.5, zeros, zeros), (2.0, zeros, zeros), (3.0, zeros),
-        )
-        assert bundle.total == pytest.approx(1.82, rel=1e-15)
 
     def test_htc_forces_zero_code_gradient(self):
-        ce, mse, *_ = self.parts(Rng(53))
-        bundle = compose_objective("htc", self.hp(), ce, mse)
+        # fixed codes take no gradient at all: htc leaves grad_codes unset
+        inputs, (ce, mse, _, _) = self.batch(Rng(53))
+        bundle = compose_objective("htc", self.hp(), *inputs)
         assert bundle.total == pytest.approx(ce[0] + mse[0], rel=1e-15)
-        assert not bundle.grad_codes.any()
+        assert bundle.grad_codes is None
         assert bundle.grad_semantic.any()
 
     def test_ltc_merges_code_gradients(self):
-        ce, mse, tri, corr = self.parts(Rng(54))
+        inputs, (_, mse, tri, corr) = self.batch(Rng(54))
         hp = self.hp(mse_weight=1.0, triplet_weight=0.01, corr_weight=0.1)
-        bundle = compose_objective("ltc", hp, ce, mse, tri, corr)
+        bundle = compose_objective("ltc", hp, *inputs)
         expected = mse[2] + 0.01 * tri[2] + 0.1 * corr[1]
         np.testing.assert_allclose(bundle.grad_codes, expected, atol=1e-15)
         expected_v = mse[1] + 0.01 * tri[1]
         np.testing.assert_allclose(bundle.grad_semantic, expected_v, atol=1e-15)
 
     def test_total_matches_manual_weighted_sum_to_machine_precision(self):
-        ce, mse, tri, corr = self.parts(Rng(55))
+        inputs, (ce, mse, tri, corr) = self.batch(Rng(55))
         hp = self.hp(mse_weight=0.7, triplet_weight=0.03, corr_weight=0.2)
-        bundle = compose_objective("ltc", hp, ce, mse, tri, corr)
+        bundle = compose_objective("ltc", hp, *inputs)
         manual = ce[0] + 0.7 * mse[0] + 0.03 * tri[0] + 0.2 * corr[0]
         assert bundle.total == manual
 
     def test_missing_parts_rejected(self):
-        ce, mse, tri, corr = self.parts(Rng(56))
+        inputs, _ = self.batch(Rng(56))
         with pytest.raises(UsageError):
-            compose_objective("htc", self.hp(), ce)
-        with pytest.raises(UsageError):
-            compose_objective("ltc", self.hp(), ce, mse)
-        with pytest.raises(UsageError):
-            compose_objective("nonsense", self.hp(), ce)
+            compose_objective("nonsense", self.hp(), *inputs)
 
 
 def test_all_losses_non_negative_on_random_inputs():

@@ -78,7 +78,7 @@ class TestForward:
         model = toy_model(5)
         z, logits, v, cache = forward(model, Rng(6).normals(4, 8), semantic=False)
         assert v is None
-        assert cache.encoder_io is None
+        assert len(cache.io) == len(model.feature) + 1
 
     def test_input_dim_mismatch(self):
         with pytest.raises(DimensionError):
@@ -90,7 +90,8 @@ class TestBackward:
         model = toy_model(7)
         _, logits, v, cache = forward(model, Rng(8).normals(5, 8))
         grads = backward(model, cache, np.zeros_like(logits), np.zeros_like(v))
-        for gw, gb in grads.feature + [grads.classifier] + grads.encoder:
+        assert len(grads) == len(model.all_layers())
+        for gw, gb in grads:
             assert not gw.any() and not gb.any()
 
     def test_dead_semantic_branch_matches_classifier_only(self):
@@ -101,7 +102,8 @@ class TestBackward:
         with_zero_v = backward(model, cache, g_logits, np.zeros_like(v))
         _, _, _, cache2 = forward(model, x, semantic=False)
         without = backward(model, cache2, g_logits, None)
-        for (gw_a, gb_a), (gw_b, gb_b) in zip(with_zero_v.feature, without.feature):
+        assert len(without) == len(model.feature) + 1
+        for (gw_a, gb_a), (gw_b, gb_b) in zip(with_zero_v, without):
             np.testing.assert_array_equal(gw_a, gw_b)
             np.testing.assert_array_equal(gb_a, gb_b)
 
@@ -114,7 +116,8 @@ class TestBackward:
         both = backward(model, cache, g_logits, g_v)
         ce_only = backward(model, cache, g_logits, np.zeros_like(v))
         sem_only = backward(model, cache, np.zeros_like(logits), g_v)
-        for (gw, _), (gw_c, _), (gw_s, _) in zip(both.feature, ce_only.feature, sem_only.feature):
+        trunk = slice(0, len(model.feature))
+        for (gw, _), (gw_c, _), (gw_s, _) in zip(both[trunk], ce_only[trunk], sem_only[trunk]):
             np.testing.assert_allclose(gw, gw_c + gw_s, atol=1e-12)
 
     def test_stale_cache_rejected(self):
@@ -141,10 +144,7 @@ class TestBackward:
     def test_round_trip_gradient_check_every_mode(self, mode):
         # 3-class, 8-dim toy model; each training branch's composed objective
         # must match finite differences through the full forward pass
-        from targetcodes.losses import (
-            compose_objective, corr_consistency, cross_entropy, mse_codes,
-            triplet_global,
-        )
+        from targetcodes.losses import compose_objective
 
         hp = Hyperparams(num_classes=3, code_length=8, margin=2.0)
         model = toy_model(55)
@@ -154,23 +154,11 @@ class TestBackward:
 
         def objective():
             _, logits, v, cache = forward(model, x, semantic=True)
-            ce = cross_entropy(logits, y)
-            if mode == "baseline":
-                return compose_objective("baseline", hp, ce), cache
-            mse = mse_codes(v, s, y)
-            if mode == "htc":
-                return compose_objective("htc", hp, ce, mse), cache
-            tri = triplet_global(v, s, y, hp.margin)
-            corr = corr_consistency(s)
-            return compose_objective("ltc", hp, ce, mse, tri, corr), cache
+            return compose_objective(mode, hp, logits, v, s, y), cache
 
         bundle, cache = objective()
         grads = backward(model, cache, bundle.grad_logits, bundle.grad_semantic)
-        pairs = list(zip(model.feature, grads.feature))
-        pairs.append((model.classifier, grads.classifier))
-        if grads.encoder is not None:
-            pairs.extend(zip(model.encoder, grads.encoder))
-        for layer, (gw, _) in pairs:
+        for layer, (gw, _) in zip(model.all_layers(), grads):
             def f(p, _layer=layer):
                 saved = _layer.weight
                 _layer.weight = p
@@ -193,7 +181,7 @@ class TestOptimizer:
         x = Rng(23).normals(4, 8)
         _, logits, v, cache = forward(model, x)
         grads = backward(model, cache, np.ones_like(logits), np.zeros_like(v))
-        gw = grads.feature[0][0].copy()
+        gw = grads[0][0].copy()
         sgd_step(opt, model, grads, epoch=0)
         np.testing.assert_allclose(model.feature[0].weight, w_before - 0.1 * gw, atol=1e-15)
 
@@ -205,10 +193,7 @@ class TestOptimizer:
                          lr_new=0.01)
         # encoder-free model exercises the classifier group only
         opt = init_optimizer(model, hp)
-        from targetcodes.network import ModelGrads
-
-        g = np.array([[2.0]])
-        grads = ModelGrads(feature=[], classifier=(g, np.zeros((1, 1))), encoder=None)
+        grads = [(np.array([[2.0]]), np.zeros((1, 1)))]
         sgd_step(opt, model, grads, 0)
         sgd_step(opt, model, grads, 0)
         assert model.classifier.weight[0, 0] == pytest.approx(1.0 - 0.01 * 2.0 * 2.9, rel=1e-12)
@@ -237,9 +222,7 @@ class TestOptimizer:
         hp = Hyperparams(num_classes=1, code_length=1, momentum=0.0, weight_decay=0.1,
                          lr_new=0.5)
         opt = init_optimizer(model, hp)
-        from targetcodes.network import ModelGrads
-
-        grads = ModelGrads(feature=[], classifier=(np.zeros((1, 1)), np.zeros((1, 1))), encoder=None)
+        grads = [(np.zeros((1, 1)), np.zeros((1, 1)))]
         sgd_step(opt, model, grads, 0)
         assert model.classifier.weight[0, 0] == pytest.approx(10.0 - 0.5 * 0.1 * 10.0)
 
@@ -249,7 +232,8 @@ class TestOptimizer:
         opt = init_optimizer(model, hp)
         _, logits, v, cache = forward(model, Rng(27).normals(2, 8))
         grads = backward(model, cache, np.zeros_like(logits), np.zeros_like(v))
-        grads.encoder[1] = (np.full_like(grads.encoder[1][0], np.nan), grads.encoder[1][1])
+        i = len(model.feature) + 2  # the second encoder layer
+        grads[i] = (np.full_like(grads[i][0], np.nan), grads[i][1])
         before = [l.weight.copy() for l in model.all_layers()]
         with pytest.raises(NumericError):
             sgd_step(opt, model, grads, 0)
@@ -286,13 +270,17 @@ class TestInitModel:
 
 
 class TestCheckpoint:
-    def build_state(self, seed=40):
-        model = toy_model(seed)
-        hp = Hyperparams(num_classes=3, code_length=8, seed=seed)
+    def build_state(self, seed=40, **dims):
+        model = toy_model(seed, **dims)
+        classes, length = dims.get("classes", 3), dims.get("length", 8)
+        hp = Hyperparams(num_classes=classes, code_length=length, seed=seed)
         opt = init_optimizer(model, hp)
         # dirty the buffers so serialization covers non-zero state
-        opt.feature_bufs[0][0][:] = Rng(seed + 1).normals(*opt.feature_bufs[0][0].shape)
-        bank = init_learnable_codes(3, 8, Rng(seed + 2))
+        rng = Rng(seed + 1)
+        for bw, bb in opt.bufs:
+            bw[:] = rng.normals(*bw.shape)
+            bb[:] = rng.normals(*bb.shape)
+        bank = init_learnable_codes(classes, length, Rng(seed + 2))
         return CheckpointState(
             mode="ltc", seed=seed, rng_state=12345, epoch=17,
             model=model, optimizer=opt, bank=bank,
@@ -311,9 +299,9 @@ class TestCheckpoint:
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
             assert la.activation == lb.activation
-        np.testing.assert_array_equal(
-            state.optimizer.feature_bufs[0][0], loaded.optimizer.feature_bufs[0][0]
-        )
+        assert len(loaded.optimizer.bufs) == len(state.optimizer.bufs)
+        for (bw, bb), (lw, lb) in zip(state.optimizer.bufs, loaded.optimizer.bufs):
+            assert np.array_equal(bw, lw) and np.array_equal(bb, lb)
         assert np.array_equal(state.bank.weights, loaded.bank.weights)
         assert loaded.optimizer.decay_epochs == state.optimizer.decay_epochs
 
@@ -345,12 +333,22 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_truncation_detected(self, tmp_path):
-        state = self.build_state()
+        # a small model keeps the sweep over every prefix length short
+        state = self.build_state(input_dim=2, widths=(2,), classes=2, hidden=2, length=2)
         path = tmp_path / "trunc.ltck"
         save_checkpoint(path, state)
         raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(FormatError):
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+
+    def test_non_finite_matrix_rejected(self, tmp_path):
+        state = self.build_state()
+        state.model.classifier.weight[1, 2] = np.nan
+        path = tmp_path / "nan.ltck"
+        save_checkpoint(path, state)
+        with pytest.raises(FormatError, match="non-finite"):
             load_checkpoint(path)
 
     def test_unknown_bank_activation_code(self, tmp_path):
