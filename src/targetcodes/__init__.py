@@ -16,7 +16,7 @@ from .codes import (
     update_codes,
 )
 from .core import GradCheckReport, Rng, derive_seed, finite_diff_check
-from .data import BatchPlan, Dataset, batches, load_csv, load_idx, long_tail_subsample, make_blobs, save_csv
+from .data import Dataset, batches, load_csv, long_tail_subsample, make_blobs, save_csv
 from .losses import (
     BASELINE,
     HTC,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BASELINE",
-    "BatchPlan",
     "CodeBank",
     "Dataset",
     "DenseLayer",
@@ -78,7 +77,6 @@ __all__ = [
     "init_optimizer",
     "load_bank",
     "load_csv",
-    "load_idx",
     "long_tail_subsample",
     "make_blobs",
     "mse_codes",

@@ -13,7 +13,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -24,94 +23,22 @@ from . import network as net_mod
 from . import trainer as trainer_mod
 from .core import Rng
 from .errors import ConfigError, NumericError, TargetCodesError, TrainingDiverged
-from .losses import Hyperparams
 
 log = logging.getLogger("targetcodes")
 
-# annotation -> (parser, formatter); the annotations are the strings written
-# in the dataclass bodies, since those modules use postponed evaluation
-_CODECS = {
-    "int": (int, str),
-    "float": (float, repr),
-    "Optional[float]": (float, repr),
-    "str": (str, str),
-    "Optional[str]": (str, str),
-    "bool": (
-        lambda s: {"true": True, "false": False}[s.lower()],
-        lambda b: "true" if b else "false",
-    ),
-    "tuple[int, ...]": (
-        lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
-        lambda t: ",".join(str(v) for v in t),
-    ),
-}
-
-# The config keys are the TrainConfig fields, with the Hyperparams fields
-# in place of ``hp``, in declaration order.
-_FIELDS = [
-    f
-    for outer in fields(trainer_mod.TrainConfig)
-    for f in (fields(Hyperparams) if outer.name == "hp" else (outer,))
-]
-_HP_KEYS = {f.name for f in fields(Hyperparams)}
-# key -> (parser, formatter); the full set of recognized config-file keys
-_CONFIG_KEYS = {f.name: _CODECS[f.type] for f in _FIELDS}
-_DEFAULTS = {f.name: f.default for f in _FIELDS if f.default is not MISSING}
-_DEFAULTS.update(mode="baseline", out_dir="run")
-
-
-def parse_config_file(path) -> dict:
-    """Read flat `key = value` lines; # starts a comment, blank lines skipped.
-    Unknown keys are rejected."""
-    values = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key][0](value)
-            except (ValueError, KeyError):
-                raise ConfigError(f"{path}:{line_no}: bad value {value!r} for {key}")
-    return values
-
-
-def format_config(values: dict) -> str:
-    """Render resolved values as a config file that parses back equivalently."""
-    lines = []
-    for key in _CONFIG_KEYS:
-        if key in values and values[key] is not None:
-            lines.append(f"{key} = {_CONFIG_KEYS[key][1](values[key])}")
-    return "\n".join(lines) + "\n"
-
-
-def _apply_overrides(values: dict, pairs: list[str]) -> None:
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key][0](value.strip())
-        except (ValueError, KeyError):
-            raise ConfigError(f"bad value {value!r} for {key}")
+# The CLI's own defaults; every other key defaults to its dataclass field.
+_DEFAULTS = {"mode": "baseline", "out_dir": "run"}
 
 
 def _resolve_train_config(args) -> dict:
     values = dict(_DEFAULTS)
     if args.config:
-        values.update(parse_config_file(args.config))
-    if args.set:
-        _apply_overrides(values, args.set)
+        values.update(trainer_mod.parse_config_file(args.config))
+    for pair in args.set:
+        if "=" not in pair:
+            raise ConfigError(f"--set expects key=value, got {pair!r}")
+        key, _, value = pair.partition("=")
+        values[key.strip()] = trainer_mod.parse_setting(key.strip(), value.strip())
     for flag, key in (
         ("mode", "mode"), ("seed", "seed"), ("epochs", "epochs"),
         ("length", "code_length"), ("data", "train_data"),
@@ -119,19 +46,8 @@ def _resolve_train_config(args) -> dict:
     ):
         v = getattr(args, flag, None)
         if v is not None:
-            values[key] = _CONFIG_KEYS[key][0](str(v))
+            values[key] = trainer_mod.parse_setting(key, str(v))
     return values
-
-
-def _build_train_config(values: dict, num_classes: int) -> trainer_mod.TrainConfig:
-    if values["num_classes"] != num_classes:
-        raise ConfigError(
-            f"config says {values['num_classes']} classes, data has {num_classes}"
-        )
-    hp = Hyperparams(**{k: v for k, v in values.items() if k in _HP_KEYS})
-    return trainer_mod.TrainConfig(
-        hp=hp, **{k: v for k, v in values.items() if k not in _HP_KEYS}
-    )
 
 
 def _bank_summary(bank: codes_mod.CodeBank) -> list[str]:
@@ -220,21 +136,13 @@ def cmd_train(args) -> int:
     train_ds = data_mod.load_csv(values["train_data"])
     test_ds = data_mod.load_csv(values["test_data"])
     values.setdefault("num_classes", train_ds.num_classes)
-    config = _build_train_config(values, train_ds.num_classes)
-    # refuse the run, a resume included, before anything under out_dir changes
-    trainer_mod.validate_config(config, train_ds, test_ds)
-    if args.resume:
-        trainer_mod.load_resume_state(args.resume, config, train_ds.X.shape[1])
-    os.makedirs(config.out_dir, exist_ok=True)
-    values["margin"] = config.hp.margin
-    with open(os.path.join(config.out_dir, "resolved.cfg"), "w") as fh:
-        fh.write(format_config(values))
     result = trainer_mod.train(
-        config, train_ds, test_ds, resume_from=args.resume or None
+        trainer_mod.build_config(values), train_ds, test_ds,
+        resume_from=args.resume or None,
     )
     final = result.metrics[-1]
     print(f"final epoch {final.epoch}: top1 {final.top1:.4f} top5 {final.top5:.4f}")
-    print(f"metrics: {os.path.join(config.out_dir, 'metrics.jsonl')}")
+    print(f"metrics: {os.path.join(values['out_dir'], 'metrics.jsonl')}")
     print(f"checkpoint: {result.final_checkpoint}")
     return 0
 
@@ -360,6 +268,9 @@ def main(argv=None) -> int:
         return 3
     except (TargetCodesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -119,10 +119,6 @@ class Rng:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def normal(self) -> float:
         """Standard normal deviate (Box-Muller, cosine branch)."""
         u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53  # in (0, 1]

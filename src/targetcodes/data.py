@@ -1,11 +1,10 @@
 """Desk-scale datasets: hierarchical Gaussian blobs, long-tail subsampling,
-an IDX image loader, CSV round-tripping, and deterministic batching.
+CSV round-tripping, and deterministic batching.
 """
 
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -13,10 +12,6 @@ import numpy as np
 
 from .core import Matrix, Rng, derive_seed
 from .errors import ConsistencyError, DimensionError, DomainError, FormatError
-
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
-
 
 @dataclass
 class Dataset:
@@ -46,16 +41,6 @@ class Dataset:
             )
         if int(self.class_counts.sum()) != self.y.shape[0]:
             raise ConsistencyError("class counts do not sum to the sample count")
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """Deterministic batch schedule: indices are shuffled by a generator
-    seeded from (seed, epoch), then chunked."""
-
-    batch_size: int
-    seed: int
-    drop_last: bool = False
 
 
 def make_blobs(
@@ -198,63 +183,6 @@ def select_classes(ds: Dataset, classes) -> Dataset:
     )
 
 
-def _read_be_u32(raw: bytes, offset: int, what: str) -> int:
-    if offset + 4 > len(raw):
-        raise FormatError(f"truncated IDX file while reading {what}")
-    return struct.unpack(">I", raw[offset : offset + 4])[0]
-
-
-def load_idx(images_path, labels_path) -> Dataset:
-    """Parse a big-endian IDX image/label file pair.
-
-    Pixels are scaled from u8 to [0, 1] and flattened row-major to
-    rows*cols features. Class counts cover 0..max(label).
-    """
-    with open(images_path, "rb") as fh:
-        raw = fh.read()
-    magic = _read_be_u32(raw, 0, "image magic")
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
-    n = _read_be_u32(raw, 4, "image count")
-    rows = _read_be_u32(raw, 8, "row count")
-    cols = _read_be_u32(raw, 12, "column count")
-    if len(raw) != 16 + n * rows * cols:
-        raise FormatError(
-            f"image payload has {len(raw) - 16} bytes, expected {n * rows * cols}"
-        )
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    X = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
-
-    with open(labels_path, "rb") as fh:
-        raw = fh.read()
-    magic = _read_be_u32(raw, 0, "label magic")
-    if magic != IDX_LABEL_MAGIC:
-        raise FormatError(f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}")
-    n_labels = _read_be_u32(raw, 4, "label count")
-    if len(raw) != 8 + n_labels:
-        raise FormatError(f"label payload has {len(raw) - 8} bytes, expected {n_labels}")
-    if n_labels != n:
-        raise ConsistencyError(f"{n} images but {n_labels} labels")
-    y = np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.intp)
-    counts = np.bincount(y, minlength=int(y.max()) + 1 if n else 1)
-    return Dataset(X=X, y=y, class_counts=counts.astype(np.int64))
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write a u8 array (N, rows, cols) in IDX image format (test fixtures)."""
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    """Write a u8 label vector in IDX label format (test fixtures)."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, len(labels)))
-        fh.write(np.asarray(labels).astype(np.uint8).tobytes())
-
-
 def save_csv(ds: Dataset, path) -> None:
     """Write `label,f0,...,fD-1` rows; floats use %.17g so values round-trip
     bit-exactly."""
@@ -267,19 +195,28 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by :func:`save_csv`; features must be finite."""
+    """Read a dataset written by :func:`save_csv`: integer labels and finite
+    features. A malformed file raises FormatError naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "label":
-            raise FormatError(f"{path}: expected a 'label,f0,...' header")
-        dim = len(header) - 1
         labels, rows = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise FormatError(f"{path}:{line_no}: expected {dim + 1} fields")
-            labels.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
+        try:
+            header = next(reader, None)
+            if not header or header[0] != "label":
+                raise FormatError(f"{path}: expected a 'label,f0,...' header")
+            dim = len(header) - 1
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != dim + 1:
+                    raise FormatError(f"{path}:{line_no}: expected {dim + 1} fields")
+                try:
+                    labels.append(int(row[0]))
+                    rows.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{line_no}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: cannot decode byte 0x{exc.object[exc.start]:02x}") from None
+        except csv.Error as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: no data rows")
     X = np.array(rows, dtype=np.float64)
@@ -297,20 +234,17 @@ def load_csv(path) -> Dataset:
     )
 
 
-def batches(ds: Dataset, plan: BatchPlan, epoch: int) -> list[np.ndarray]:
+def batches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:
     """Index slices covering one epoch, shuffled deterministically by
-    (plan.seed, epoch)."""
+    (seed, epoch); the last slice holds the remainder."""
     n = ds.num_samples
-    if plan.batch_size < 1:
-        raise DomainError(f"batch size must be positive, got {plan.batch_size}")
-    if plan.batch_size > n:
-        raise DomainError(f"batch size {plan.batch_size} exceeds dataset size {n}")
+    if batch_size < 1:
+        raise DomainError(f"batch size must be positive, got {batch_size}")
+    if batch_size > n:
+        raise DomainError(f"batch size {batch_size} exceeds dataset size {n}")
     order = list(range(n))
-    Rng(derive_seed(plan.seed, epoch)).shuffle(order)
-    out = []
-    for start in range(0, n, plan.batch_size):
-        chunk = order[start : start + plan.batch_size]
-        if plan.drop_last and len(chunk) < plan.batch_size:
-            break
-        out.append(np.array(chunk, dtype=np.intp))
-    return out
+    Rng(derive_seed(seed, epoch)).shuffle(order)
+    return [
+        np.array(order[start : start + batch_size], dtype=np.intp)
+        for start in range(0, n, batch_size)
+    ]

@@ -81,7 +81,6 @@ class LossBundle:
     modes that do not use the corresponding branch.
     """
 
-    mode: str
     total: float
     ce: float
     mse: float
@@ -209,12 +208,12 @@ def compose_objective(mode: str, hp: Hyperparams, logits, semantic, codes, label
         raise UsageError(f"unknown mode {mode!r}")
     ce_loss, grad_logits = cross_entropy(logits, labels)
     if mode == BASELINE:
-        return LossBundle(mode, ce_loss, ce_loss, 0.0, 0.0, 0.0, grad_logits)
+        return LossBundle(ce_loss, ce_loss, 0.0, 0.0, 0.0, grad_logits)
     mse_loss, mse_gv, mse_gs = mse_codes(semantic, codes, labels)
     if mode == HTC:
         total = ce_loss + hp.mse_weight * mse_loss
         return LossBundle(
-            mode, total, ce_loss, mse_loss, 0.0, 0.0, grad_logits,
+            total, ce_loss, mse_loss, 0.0, 0.0, grad_logits,
             grad_semantic=hp.mse_weight * mse_gv,
         )
     tri_loss, tri_gv, tri_gs = triplet_global(semantic, codes, labels, hp.margin)
@@ -232,7 +231,6 @@ def compose_objective(mode: str, hp: Hyperparams, logits, semantic, codes, label
         + hp.corr_weight * corr_gs
     )
     return LossBundle(
-        mode,
         total,
         ce_loss,
         mse_loss,

@@ -1,6 +1,7 @@
 """End-to-end training loop with three branches (plain cross-entropy,
 fixed Hadamard codes, learnable codes), evaluation metrics, retrieval
-Recall@K, correlation-matrix export, and checkpointing.
+Recall@K, correlation-matrix export, checkpointing, and the config-file
+codec for ``TrainConfig``.
 
 Every run is a pure function of its config: the single seed fans out into
 fixed per-component streams (codes, model init, batch order), so reruns
@@ -13,7 +14,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,8 +46,8 @@ METRIC_KEYS = ("epoch", "ce", "mse", "triplet", "corr", "total", "top1", "top5",
 class TrainConfig:
     """One training run: branch, hyperparameters, model dims, and outputs.
 
-    ``out_dir`` of None keeps the run entirely in memory (no metrics file,
-    no checkpoints). Loss-component metrics are recorded as weighted
+    ``out_dir`` of None keeps the run entirely in memory (no resolved.cfg,
+    metrics file or checkpoints). Loss-component metrics are recorded as weighted
     contributions to the total, so a regularizer with weight zero reports
     exactly 0.0.
     """
@@ -63,6 +64,82 @@ class TrainConfig:
     out_dir: Optional[str] = None
     train_data: Optional[str] = None
     test_data: Optional[str] = None
+
+
+# annotation -> (parser, formatter); the annotations are the strings written
+# in the dataclass bodies, since those modules use postponed evaluation
+_CODECS = {
+    "int": (int, str),
+    "float": (float, repr),
+    "Optional[float]": (float, repr),
+    "str": (str, str),
+    "Optional[str]": (str, str),
+    "bool": (
+        lambda s: {"true": True, "false": False}[s.lower()],
+        lambda b: "true" if b else "false",
+    ),
+    "tuple[int, ...]": (
+        lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
+        lambda t: ",".join(str(v) for v in t),
+    ),
+}
+
+_HP_KEYS = {f.name for f in fields(Hyperparams)}
+# key -> (parser, formatter) for every config key: the TrainConfig fields,
+# with the Hyperparams fields in place of ``hp``, in declaration order
+_CONFIG_KEYS = {
+    f.name: _CODECS[f.type]
+    for outer in fields(TrainConfig)
+    for f in (fields(Hyperparams) if outer.name == "hp" else (outer,))
+}
+
+
+def parse_setting(key: str, value: str):
+    """Parse the text ``value`` of config key ``key``; unknown keys and bad
+    values raise ConfigError."""
+    if key not in _CONFIG_KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    try:
+        return _CONFIG_KEYS[key][0](value)
+    except (ValueError, KeyError):
+        raise ConfigError(f"bad value {value!r} for {key}") from None
+
+
+def parse_config_file(path) -> dict:
+    """Read flat `key = value` lines; # starts a comment, blank lines skipped.
+    Unknown keys are rejected."""
+    values = {}
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw.strip()!r}")
+            key, _, value = line.partition("=")
+            try:
+                values[key.strip()] = parse_setting(key.strip(), value.strip())
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{line_no}: {exc}") from None
+    return values
+
+
+def build_config(values: dict) -> TrainConfig:
+    """The TrainConfig for parsed settings; absent keys take the dataclass
+    defaults."""
+    hp = Hyperparams(**{k: v for k, v in values.items() if k in _HP_KEYS})
+    return TrainConfig(hp=hp, **{k: v for k, v in values.items() if k not in _HP_KEYS})
+
+
+def format_config(config: TrainConfig) -> str:
+    """Render ``config`` as a config file that parses back to an equal
+    config; unset optional keys are left out."""
+    lines = []
+    for key, (_, fmt) in _CONFIG_KEYS.items():
+        value = getattr(config.hp if key in _HP_KEYS else config, key)
+        if value is not None:
+            lines.append(f"{key} = {fmt(value)}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -119,7 +196,7 @@ def validate_config(
         raise ConfigError(f"unknown mode {config.mode!r}, expected one of {MODES}")
     if hp.num_classes != num_classes:
         raise ConfigError(
-            f"config says {hp.num_classes} classes but the dataset has {num_classes}"
+            f"config says {hp.num_classes} classes, data has {num_classes}"
         )
     if config.mode == HTC:
         length = hp.code_length
@@ -183,6 +260,8 @@ _OPTIMIZER_FIELDS = (
 def _check_resume_state(
     state: net_mod.CheckpointState, config: TrainConfig, input_dim: int
 ) -> None:
+    """Refuse ``state`` unless ``config`` would continue the same run: same
+    mode, seed, optimizer settings and layers, with epochs left to train."""
     hp = config.hp
     if state.mode != config.mode:
         raise ConfigError(
@@ -203,20 +282,13 @@ def _check_resume_state(
     )
     if got != want:
         raise DimensionError(f"checkpoint layers {got} do not match config {want}")
-    if state.epoch > hp.epochs:
+    if state.epoch >= hp.epochs:
         raise ConfigError(
-            f"checkpoint is at epoch {state.epoch}, config trains only {hp.epochs}"
+            f"checkpoint is at epoch {state.epoch}, so none of the {hp.epochs} "
+            "configured epochs is left to train"
         )
     if state.bank is None:
         raise ConfigError("checkpoint is missing the code bank")
-
-
-def load_resume_state(path, config: TrainConfig, input_dim: int) -> net_mod.CheckpointState:
-    """Read the checkpoint at ``path`` and refuse it unless ``config`` would
-    continue the same run: same mode, seed, optimizer settings and layers."""
-    state = net_mod.load_checkpoint(path)
-    _check_resume_state(state, config, input_dim)
-    return state
 
 
 def _save_state(path, config, epoch, model, optimizer, bank) -> str:
@@ -256,8 +328,11 @@ def train(
     grouped momentum-SGD step; and, for learnable codes, push the clipped
     straight-through gradient into the code bank. Metrics are emitted at
     ``eval_every`` cadence using only the inference path (trunk+classifier).
-    A resumed run keeps the ``metrics.jsonl`` lines up to the checkpoint's
-    epoch and the ``corr_init.csv`` already in ``out_dir``.
+
+    Nothing under ``out_dir`` changes until the config and the resume
+    checkpoint have passed their checks; then ``resolved.cfg`` records the
+    config. A resumed run keeps the ``metrics.jsonl`` lines up to the
+    checkpoint's epoch and the ``corr_init.csv`` already in ``out_dir``.
     """
     if train_ds is None:
         if not config.train_data:
@@ -273,7 +348,8 @@ def train(
 
     start_epoch = 0
     if resume_from is not None:
-        state = load_resume_state(resume_from, config, input_dim)
+        state = net_mod.load_checkpoint(resume_from)
+        _check_resume_state(state, config, input_dim)
         model, optimizer, bank = state.model, state.optimizer, state.bank
         start_epoch = state.epoch
     else:
@@ -292,6 +368,8 @@ def train(
     metrics_fh = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "resolved.cfg"), "w") as fh:
+            fh.write(format_config(config))
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         kept = [] if resume_from is None else _metrics_through(metrics_path, start_epoch)
         metrics_fh = open(metrics_path, "w")
@@ -299,9 +377,7 @@ def train(
         if resume_from is None:
             export_code_correlation(bank, os.path.join(out_dir, "corr_init.csv"))
 
-    plan = data_mod.BatchPlan(
-        batch_size=hp.batch_size, seed=derive_seed(hp.seed, STREAM_BATCHES)
-    )
+    batch_seed = derive_seed(hp.seed, STREAM_BATCHES)
     regularized = config.mode in (HTC, LTC)
     result = TrainResult(model=model, bank=bank, optimizer=optimizer)
 
@@ -321,7 +397,7 @@ def train(
             tick = time.perf_counter()
             sums = {"ce": 0.0, "mse": 0.0, "triplet": 0.0, "corr": 0.0, "total": 0.0}
             seen = 0
-            for idx in data_mod.batches(train_ds, plan, epoch):
+            for idx in data_mod.batches(train_ds, hp.batch_size, batch_seed, epoch):
                 xb = train_ds.X[idx]
                 yb = train_ds.y[idx]
                 _, logits, v, cache = net_mod.forward(model, xb, semantic=regularized)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from targetcodes import cli
+from targetcodes import cli, codes, network, trainer
 from targetcodes.codes import load_bank
 from targetcodes.data import load_csv
 
@@ -57,6 +57,20 @@ class TestGenCodes:
                        "--length", "8", "--out", str(tmp_path / "c.ltcb")) == 0
         monkeypatch.setenv("LTC_LOG", "quiet")
         assert run_cli("inspect-codes", "--bank", str(tmp_path / "c.ltcb")) == 0
+
+    @pytest.mark.parametrize("message, printed", [
+        ("Unable to allocate 8.00 TiB for an array", "error: Unable to allocate 8.00 TiB"),
+        ("", "error: out of memory"),
+    ])
+    def test_memory_error_exit_2(self, tmp_path, monkeypatch, capsys, message, printed):
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(codes, "init_learnable_codes", no_memory)
+        code = run_cli("gen-codes", "--mode", "learnable", "--classes", "4",
+                       "--length", "8", "--out", str(tmp_path / "c.ltcb"))
+        assert code == 2
+        assert printed in capsys.readouterr().err
 
     def test_inspect_codes(self, tmp_path, capsys):
         out = tmp_path / "bank.ltcb"
@@ -219,7 +233,7 @@ class TestTrain:
     def test_resolved_config_round_trip(self, tmp_path, blob_csvs):
         train, test = blob_csvs
         run_cli(*self.train_args(tmp_path, train, test, "--mode", "ltc", "--seed", "5"))
-        resolved = cli.parse_config_file(tmp_path / "run" / "resolved.cfg")
+        resolved = trainer.parse_config_file(tmp_path / "run" / "resolved.cfg")
         assert resolved["mode"] == "ltc"
         assert resolved["seed"] == 5
         assert resolved["epochs"] == 4
@@ -250,7 +264,38 @@ class TestTrain:
         code = run_cli(*base, "--mode", "ltc", "--set", "epochs=6",
                        "--resume", str(run_dir / "ckpt_epoch2.ltck"))
         assert code == 0
-        assert cli.parse_config_file(run_dir / "resolved.cfg")["epochs"] == 6
+        assert trainer.parse_config_file(run_dir / "resolved.cfg")["epochs"] == 6
+
+    def test_resume_from_final_checkpoint_exit_2(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        base = self.train_args(tmp_path, train, test, "--mode", "ltc")
+        assert run_cli(*base) == 0
+        run_dir = tmp_path / "run"
+        before = self.snapshot(run_dir)
+        capsys.readouterr()
+        assert run_cli(*base, "--resume", str(run_dir / "ckpt_final.ltck")) == 2
+        assert "checkpoint is at epoch 4" in capsys.readouterr().err
+        assert self.snapshot(run_dir) == before
+
+    def test_resume_checks_config_and_reads_checkpoint_once(
+        self, tmp_path, blob_csvs, monkeypatch
+    ):
+        train, test = blob_csvs
+        base = self.train_args(tmp_path, train, test, "--mode", "ltc",
+                               "--set", "checkpoint_every=2")
+        assert run_cli(*base) == 0
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(network, "load_checkpoint", counted(network.load_checkpoint))
+        monkeypatch.setattr(trainer, "validate_config", counted(trainer.validate_config))
+        assert run_cli(*base, "--resume", str(tmp_path / "run" / "ckpt_epoch2.ltck")) == 0
+        assert sorted(calls) == ["load_checkpoint", "validate_config"]
 
     def test_resume_rejects_changed_optimizer_settings(self, tmp_path, blob_csvs, capsys):
         train, test = blob_csvs
@@ -351,7 +396,7 @@ class TestConfigFileParsing:
         from targetcodes.errors import ConfigError
 
         with pytest.raises(ConfigError, match="frobnicate"):
-            cli.parse_config_file(path)
+            trainer.parse_config_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -359,15 +404,16 @@ class TestConfigFileParsing:
         from targetcodes.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            cli.parse_config_file(path)
+            trainer.parse_config_file(path)
 
     def test_format_parse_round_trip(self):
         values = dict(cli._DEFAULTS)
-        values.update(mode="ltc", seed=3, margin=8.0, train_data="a.csv", test_data="b.csv")
-        text = cli.format_config(values)
+        values.update(mode="ltc", num_classes=4, seed=3, margin=8.0,
+                      train_data="a.csv", test_data="b.csv")
+        text = trainer.format_config(trainer.build_config(values))
         reparsed = {}
         for line in text.splitlines():
             key, _, value = line.partition("=")
-            reparsed[key.strip()] = cli._CONFIG_KEYS[key.strip()][0](value.strip())
+            reparsed[key.strip()] = trainer._CONFIG_KEYS[key.strip()][0](value.strip())
         for key, expected in values.items():
             assert reparsed[key] == expected

@@ -30,12 +30,6 @@ class TestRng:
         assert r.next_u64() == 0xE220A8397B1DCDAF
         assert r.next_u64() == 0x6E789E6AA1B965F4
 
-    def test_random_in_unit_interval(self):
-        r = Rng(1)
-        xs = [r.random() for _ in range(1000)]
-        assert all(0.0 <= x < 1.0 for x in xs)
-        assert abs(np.mean(xs) - 0.5) < 0.05
-
     def test_normal_moments(self):
         r = Rng(2)
         xs = np.array([r.normal() for _ in range(4000)])

@@ -1,24 +1,20 @@
-"""Blob generation, long-tail subsampling, IDX parsing, CSV round-trips,
-and deterministic batching."""
+"""Blob generation, long-tail subsampling, CSV round-trips, and
+deterministic batching."""
 
 import numpy as np
 import pytest
 
 from targetcodes.core import Rng
 from targetcodes.data import (
-    BatchPlan,
     batches,
     load_csv,
-    load_idx,
     long_tail_counts,
     long_tail_subsample,
     make_blobs,
     save_csv,
     split_per_class,
-    write_idx_images,
-    write_idx_labels,
 )
-from targetcodes.errors import ConsistencyError, DomainError, FormatError
+from targetcodes.errors import DomainError, FormatError
 
 
 class TestMakeBlobs:
@@ -134,59 +130,6 @@ class TestSplitAndSelect:
         assert not any(tuple(r) in train_rows for r in test.X)
 
 
-class TestIdx:
-    def test_pixel_scaling_endpoints(self, tmp_path):
-        images = np.array(
-            [[[0, 255], [255, 0]], [[255, 255], [0, 0]]], dtype=np.uint8
-        )
-        ip, lp = tmp_path / "img.idx", tmp_path / "lbl.idx"
-        write_idx_images(ip, images)
-        write_idx_labels(lp, np.array([3, 1]))
-        ds = load_idx(ip, lp)
-        assert ds.X.shape == (2, 4)
-        assert set(np.unique(ds.X)) == {0.0, 1.0}
-        assert ds.y.tolist() == [3, 1]
-        assert ds.class_counts.tolist() == [0, 1, 0, 1]
-
-    def test_roundtrip_bit_exact(self, tmp_path):
-        rng = Rng(15)
-        images = np.array(
-            [[[rng.below(256) for _ in range(3)] for _ in range(4)] for _ in range(7)],
-            dtype=np.uint8,
-        )
-        labels = np.array([rng.below(5) for _ in range(7)], dtype=np.uint8)
-        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
-        write_idx_images(ip, images)
-        write_idx_labels(lp, labels)
-        ds = load_idx(ip, lp)
-        recovered = (ds.X * 255.0).round().astype(np.uint8).reshape(7, 4, 3)
-        assert np.array_equal(recovered, images)
-        assert np.array_equal(ds.y, labels)
-
-    def test_truncated_image_file(self, tmp_path):
-        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
-        write_idx_images(ip, np.zeros((2, 2, 2), dtype=np.uint8))
-        write_idx_labels(lp, np.zeros(2, dtype=np.uint8))
-        raw = ip.read_bytes()
-        ip.write_bytes(raw[:-3])
-        with pytest.raises(FormatError):
-            load_idx(ip, lp)
-
-    def test_wrong_magic_reports_observed_value(self, tmp_path):
-        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
-        write_idx_labels(ip, np.zeros(2, dtype=np.uint8))  # label magic in image slot
-        write_idx_labels(lp, np.zeros(2, dtype=np.uint8))
-        with pytest.raises(FormatError, match="0x00000801"):
-            load_idx(ip, lp)
-
-    def test_count_mismatch(self, tmp_path):
-        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
-        write_idx_images(ip, np.zeros((3, 2, 2), dtype=np.uint8))
-        write_idx_labels(lp, np.zeros(2, dtype=np.uint8))
-        with pytest.raises(ConsistencyError):
-            load_idx(ip, lp)
-
-
 class TestCsv:
     def test_roundtrip_bit_exact(self, tmp_path):
         ds = make_blobs(3, 5, 1, 11, 1.7, 2.3, Rng(16))
@@ -216,6 +159,32 @@ class TestCsv:
         with pytest.raises(FormatError, match=r"nonfinite\.csv:3: non-finite value in f1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("row", ["0,abc,2", "0,,2", "x,1,2"])
+    def test_unparsable_field_names_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,f0,f1\n0,1,2\n{row}\n")
+        with pytest.raises(FormatError, match=r"bad\.csv:3: "):
+            load_csv(path)
+
+    def test_truncated_or_corrupted_file_loads_or_raises_format_error(self, tmp_path):
+        good = b"label,f0,f1\n0,1.5,-2\n1,0.25,3e1\n"
+        variants = [good[:n] for n in range(len(good))]
+        variants += [
+            good[:i] + byte + good[i + 1 :]
+            for i in range(len(good))
+            for byte in (b"x", b",", b"\n", b"\xff")
+        ]
+        variants.append(b"label,f0\n0," + b"1" * 200_000 + b"\n")  # over the csv field limit
+        path = tmp_path / "c.csv"
+        for raw in variants:
+            path.write_bytes(raw)
+            try:
+                load_csv(path)
+            except FormatError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{raw[:40]!r}: {exc!r}")
+
 
 class TestBatches:
     def dataset(self, n=20):
@@ -223,35 +192,30 @@ class TestBatches:
 
     def test_full_batch_is_permutation(self):
         ds = self.dataset(20)
-        out = batches(ds, BatchPlan(batch_size=20, seed=5), epoch=0)
+        out = batches(ds, batch_size=20, seed=5, epoch=0)
         assert len(out) == 1
         assert sorted(out[0].tolist()) == list(range(20))
         assert out[0].tolist() != list(range(20))
 
     def test_same_seed_epoch_identical(self):
         ds = self.dataset(24)
-        a = batches(ds, BatchPlan(4, seed=6), epoch=3)
-        b = batches(ds, BatchPlan(4, seed=6), epoch=3)
+        a = batches(ds, 4, 6, epoch=3)
+        b = batches(ds, 4, 6, epoch=3)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_different_epochs_differ(self):
         ds = self.dataset(32)
-        a = np.concatenate(batches(ds, BatchPlan(8, seed=7), epoch=0))
-        b = np.concatenate(batches(ds, BatchPlan(8, seed=7), epoch=1))
+        a = np.concatenate(batches(ds, 8, 7, epoch=0))
+        b = np.concatenate(batches(ds, 8, 7, epoch=1))
         assert not np.array_equal(a, b)
 
     def test_epoch_covers_every_index_once(self):
         ds = self.dataset(30)
-        out = batches(ds, BatchPlan(7, seed=8), epoch=2)
+        out = batches(ds, 7, 8, epoch=2)
         flat = np.concatenate(out)
         assert sorted(flat.tolist()) == list(range(30))
         assert [len(b) for b in out] == [7, 7, 7, 7, 2]
 
-    def test_drop_last(self):
-        ds = self.dataset(30)
-        out = batches(ds, BatchPlan(7, seed=9, drop_last=True), epoch=0)
-        assert [len(b) for b in out] == [7, 7, 7, 7]
-
     def test_batch_larger_than_dataset_rejected(self):
         with pytest.raises(DomainError):
-            batches(self.dataset(10), BatchPlan(11, seed=0), epoch=0)
+            batches(self.dataset(10), 11, 0, epoch=0)

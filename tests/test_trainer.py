@@ -182,6 +182,15 @@ class TestDeterminismAndResume:
             tm.train(small_config("ltc", epochs=4), train_ds, test_ds,
                      resume_from=result.final_checkpoint)
 
+    def test_resolved_cfg_parses_back_to_the_config(self, tmp_path):
+        train_ds, test_ds = blob_sets()
+        config = small_config("ltc", epochs=1, out_dir=str(tmp_path / "r"), lr_codes=0.5)
+        config.decay_codes = False
+        tm.train(config, train_ds, test_ds)
+        settings = tm.parse_config_file(tmp_path / "r" / "resolved.cfg")
+        assert "train_data" not in settings  # unset keys are left out
+        assert tm.build_config(settings) == config
+
     def test_metrics_jsonl_schema(self, tmp_path):
         train_ds, test_ds = blob_sets()
         config = small_config("ltc", epochs=2, out_dir=str(tmp_path / "m"))
