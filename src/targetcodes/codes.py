@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Matrix, Reader, Rng, as_matrix, pack_matrix
+from .core import Matrix, Reader, Rng, as_matrix, atomic_open, pack_matrix
 from .errors import (
     CapacityError,
     DimensionError,
@@ -265,7 +265,7 @@ def _decode_bank(kind_code: int, act_code: int, tanh_scale: float, weights) -> C
 def save_bank(bank: CodeBank, path) -> None:
     """Write a bank as an LTCB file: magic "LTCB", u32 version 2, then the
     :func:`pack_bank` section."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_BANK_MAGIC + struct.pack("<I", _BANK_VERSION) + pack_bank(bank))
 
 

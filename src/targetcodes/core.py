@@ -6,15 +6,19 @@ float64. The binary formats (code banks, checkpoints) share one matrix
 encoding and one bounds-checked reader. The RNG is splitmix64, chosen over
 the platform default so that a seed reproduces the same stream on every
 machine; its bulk methods draw the stream with numpy ``uint64`` arithmetic
-and reproduce the scalar methods bit for bit.
+and reproduce the scalar methods bit for bit. Every file the package writes
+whole goes through ``atomic_open``, so a failed or killed write never
+leaves a torn file in place of the old one.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,6 +87,24 @@ class Reader:
         """Reject bytes left over after the last field."""
         if self.pos != len(self.raw):
             raise FormatError(f"trailing bytes after {self.what} payload")
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs) -> Iterator[IO]:
+    """Open a temporary file beside ``path`` for writing; when the block
+    exits cleanly it replaces ``path`` in one ``os.replace``. When the block
+    raises, the temporary file is removed and ``path`` keeps its old bytes.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class Rng:

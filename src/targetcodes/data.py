@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Matrix, Rng, derive_seed
+from .core import Matrix, Rng, atomic_open, derive_seed
 from .errors import ConsistencyError, DimensionError, DomainError, FormatError
 
 @dataclass
@@ -187,7 +187,7 @@ def save_csv(ds: Dataset, path) -> None:
     """Write `label,f0,...,fD-1` rows; floats use %.17g so values round-trip
     bit-exactly."""
     dim = ds.X.shape[1]
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"f{i}" for i in range(dim)])
         for label, row in zip(ds.y, ds.X):

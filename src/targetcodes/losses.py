@@ -10,6 +10,7 @@ regularization, learnable-code regularization) and merges them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,7 +35,9 @@ class Hyperparams:
     extractor, the newly added heads (classifier and semantic encoder),
     and the learnable codes each have their own rate. ``decay_epochs``
     are 0-based epoch indices at which every rate is multiplied by
-    ``decay_factor``.
+    ``decay_factor``. Rates, weight decay, loss weights and the margin must
+    be finite and non-negative, ``tanh_scale`` and ``decay_factor`` finite
+    and positive, and ``momentum`` in [0, 1).
     """
 
     num_classes: int
@@ -60,15 +63,25 @@ class Hyperparams:
             raise DomainError(f"num_classes must be positive, got {self.num_classes}")
         if self.code_length < 1:
             raise DomainError(f"code_length must be positive, got {self.code_length}")
-        for name in ("mse_weight", "triplet_weight", "corr_weight"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be non-negative")
+        for name in (
+            "mse_weight", "triplet_weight", "corr_weight",
+            "lr_feature", "lr_new", "lr_codes", "weight_decay",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"{name} must be finite and non-negative, got {value}")
         if self.margin is None:
             self.margin = float(self.code_length)
-        if self.margin < 0:
-            raise DomainError(f"margin must be non-negative, got {self.margin}")
-        if self.tanh_scale <= 0:
-            raise DomainError(f"tanh_scale must be positive, got {self.tanh_scale}")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise DomainError(f"margin must be finite and non-negative, got {self.margin}")
+        if not (math.isfinite(self.tanh_scale) and self.tanh_scale > 0):
+            raise DomainError(f"tanh_scale must be finite and positive, got {self.tanh_scale}")
+        if not 0 <= self.momentum < 1:
+            raise DomainError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not (math.isfinite(self.decay_factor) and self.decay_factor > 0):
+            raise DomainError(
+                f"decay_factor must be finite and positive, got {self.decay_factor}"
+            )
         self.decay_epochs = tuple(int(e) for e in self.decay_epochs)
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import codes as codes_mod
-from .core import Matrix, Reader, Rng, as_matrix, pack_matrix
+from .core import Matrix, Reader, Rng, as_matrix, atomic_open, pack_matrix
 from .errors import (
     DimensionError,
     DomainError,
@@ -395,7 +395,7 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     else:
         parts.append(struct.pack("<B", 1))
         parts.append(codes_mod.pack_bank(state.bank))
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 

@@ -23,7 +23,7 @@ from . import codes as codes_mod
 from . import data as data_mod
 from . import losses as losses_mod
 from . import network as net_mod
-from .core import Rng, derive_seed
+from .core import Rng, atomic_open, derive_seed
 from .errors import (
     ConfigError,
     DimensionError,
@@ -38,6 +38,10 @@ log = logging.getLogger("targetcodes")
 STREAM_CODES = 1
 STREAM_MODEL = 2
 STREAM_BATCHES = 3
+
+# Query rows per block in retrieval_eval: each block holds a few 256 x N
+# arrays, so memory grows linearly in N.
+_RETRIEVAL_BLOCK_ROWS = 256
 
 METRIC_KEYS = ("epoch", "ce", "mse", "triplet", "corr", "total", "top1", "top5", "code_corr")
 
@@ -225,6 +229,8 @@ def validate_config(
         raise ConfigError(f"eval_every must be positive, got {config.eval_every}")
     if not config.feature_widths:
         raise ConfigError("feature_widths must name at least one layer")
+    if min(config.feature_widths) < 1:
+        raise ConfigError(f"feature_widths must be positive, got {config.feature_widths}")
     if test_ds.y.max() >= hp.num_classes:
         raise ConfigError(
             f"test labels reach {int(test_ds.y.max())}, config has {hp.num_classes} classes"
@@ -368,7 +374,7 @@ def train(
     metrics_fh = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "resolved.cfg"), "w") as fh:
+        with atomic_open(os.path.join(out_dir, "resolved.cfg")) as fh:
             fh.write(format_config(config))
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         kept = [] if resume_from is None else _metrics_through(metrics_path, start_epoch)
@@ -500,26 +506,48 @@ def retrieval_eval(
     """Recall@K with L2-normalized trunk embeddings and cosine ranking.
 
     Each sample queries all the others; a query counts as a hit at K when
-    any of its K nearest candidates shares its class. Queries whose class
-    has no second sample are skipped and counted.
+    any of its K nearest candidates shares its class. Candidates with equal
+    similarity rank the lower sample index first. Queries whose class has
+    no second sample are skipped and counted. Every K must be at least 1
+    and below the sample count; a non-finite embedding raises NumericError.
+
+    Queries run in blocks of 256 rows, so memory is O(256·N) for N samples:
+    no N x N similarity matrix or sort is built. A query's rank is the
+    position of its first same-class candidate in the ranking, which is
+    the number of candidates more similar than the best same-class one,
+    plus those as similar with a lower index.
     """
     n = ds.num_samples
+    if not ks or min(ks) < 1:
+        raise DomainError(f"recall depths must be at least 1, got {tuple(ks)}")
     if max(ks) >= n:
         raise DomainError(f"recall depth {max(ks)} needs more than {max(ks)} samples")
     z, _, _, _ = net_mod.forward(model, ds.X, semantic=False)
+    if not np.isfinite(z).all():
+        raise NumericError("non-finite embedding in retrieval")
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     z = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0)
-    sim = z @ z.T
-    np.fill_diagonal(sim, -np.inf)
-    counts = np.bincount(ds.y, minlength=int(ds.y.max()) + 1)
-    valid = counts[ds.y] >= 2
-    order = np.argsort(-sim, axis=1, kind="stable")
-    same = ds.y[order] == ds.y[:, None]
-    recall = {}
+    y = ds.y
+    valid = np.bincount(y)[y] >= 2
+    cols = np.arange(n)
+    rank = np.empty(n, dtype=np.int64)
+    for r0 in range(0, n, _RETRIEVAL_BLOCK_ROWS):
+        r1 = min(r0 + _RETRIEVAL_BLOCK_ROWS, n)
+        diag = (np.arange(r1 - r0), cols[r0:r1])
+        sim = z[r0:r1] @ z.T
+        sim[diag] = -np.inf
+        same = y[r0:r1, None] == y[None, :]
+        same[diag] = False
+        best = np.max(sim, axis=1, where=same, initial=-np.inf, keepdims=True)
+        at_best = sim == best
+        first = np.argmax(same & at_best, axis=1)
+        rank[r0:r1] = np.count_nonzero(sim > best, axis=1) + np.count_nonzero(
+            at_best & (cols < first[:, None]), axis=1
+        )
     n_valid = int(valid.sum())
-    for k in sorted(ks):
-        hits = same[:, :k].any(axis=1)
-        recall[int(k)] = float(hits[valid].mean()) if n_valid else 0.0
+    recall = {
+        int(k): float((rank[valid] < k).mean()) if n_valid else 0.0 for k in sorted(ks)
+    }
     return RetrievalReport(
         recall_at=recall, num_queries=n_valid, skipped_queries=int(n - n_valid)
     )
@@ -529,7 +557,7 @@ def export_code_correlation(bank: codes_mod.CodeBank, path) -> None:
     """Write the K x K normalized codeword correlation matrix as CSV,
     six decimal places."""
     corr = codes_mod.normalized_correlation(codes_mod.activate(bank))
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for row in corr:
             fh.write(",".join("%.6f" % v for v in row) + "\n")
 

@@ -195,6 +195,22 @@ class TestTrain:
         assert "batch size 161 exceeds the 160 training rows" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "feature_widths=-3", "feature_widths=32,0",
+        "lr_feature=-0.01", "lr_new=nan", "lr_codes=inf", "weight_decay=inf",
+        "mse_weight=nan", "triplet_weight=nan", "corr_weight=inf",
+        "margin=nan", "margin=inf", "tanh_scale=nan",
+        "momentum=nan", "momentum=1", "momentum=-0.1",
+        "decay_factor=-1", "decay_factor=0", "decay_factor=nan",
+    ])
+    def test_out_of_range_setting_exit_2(self, tmp_path, blob_csvs, capsys, setting):
+        train, test = blob_csvs
+        code = run_cli(*self.train_args(tmp_path, train, test, "--mode", "ltc",
+                                        "--set", setting))
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_exit_2(self, tmp_path):
         assert run_cli("train", "--mode", "baseline",
                        "--out", str(tmp_path / "r")) == 2

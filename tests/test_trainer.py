@@ -1,8 +1,10 @@
 """Training-branch behavior, evaluation, retrieval, correlation export,
 checkpoint resumption, and run determinism."""
 
+import errno
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from targetcodes import data as dm
 from targetcodes import network as nm
 from targetcodes import trainer as tm
 from targetcodes.core import Rng, derive_seed
-from targetcodes.errors import ConfigError, DimensionError, TrainingDiverged
+from targetcodes.errors import (
+    ConfigError,
+    DimensionError,
+    DomainError,
+    NumericError,
+    TrainingDiverged,
+)
 from targetcodes.losses import Hyperparams
 
 
@@ -203,6 +211,55 @@ class TestDeterminismAndResume:
         assert 0.0 <= entry["top1"] <= entry["top5"] <= 1.0
 
 
+class TornFile:
+    """A file that keeps half of its first write and then fails, as a full
+    disk does part-way through a write."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("name", ["ckpt_final.ltck", "bank.ltcb", "data.csv", "corr.csv"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        train_ds, test_ds = blob_sets()
+        result = tm.train(small_config("ltc", epochs=1, out_dir=str(tmp_path)), train_ds, test_ds)
+        state = nm.load_checkpoint(result.final_checkpoint)
+        write = {
+            "ckpt_final.ltck": lambda p: nm.save_checkpoint(p, state),
+            "bank.ltcb": lambda p: cm.save_bank(result.bank, p),
+            "data.csv": lambda p: dm.save_csv(test_ds, p),
+            "corr.csv": lambda p: tm.export_code_correlation(result.bank, p),
+        }[name]
+        path = tmp_path / name
+        if not path.exists():
+            write(path)
+        before = path.read_bytes()
+        listing = sorted(os.listdir(tmp_path))
+        real_open = open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return TornFile(fh) if "w" in mode else fh
+
+        with monkeypatch.context() as patched:
+            patched.setattr("builtins.open", torn_open)
+            with pytest.raises(OSError):
+                write(path)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
+
+
 class TestEvaluate:
     def test_uniformly_random_logits_near_chance(self):
         rng = Rng(60)
@@ -254,21 +311,28 @@ class TestEvaluate:
         assert tm.evaluate(stripped, test_ds) == before
 
 
+def identity_model(dim):
+    """A model whose trunk embedding is its input: one identity "none" layer."""
+    return nm.ModelParams(
+        feature=[nm.DenseLayer(np.eye(dim), np.zeros((1, dim)), "none")],
+        classifier=nm.DenseLayer(np.zeros((dim, 2)), np.zeros((1, 2)), "none"),
+        encoder=[
+            nm.DenseLayer(np.zeros((dim, 2)), np.zeros((1, 2)), "relu"),
+            nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "relu"),
+            nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "tanh"),
+        ],
+    )
+
+
+def labelled(x, y):
+    return dm.Dataset(X=x, y=y, class_counts=np.bincount(y))
+
+
 class TestRetrieval:
     def test_duplicate_samples_give_recall_one(self):
         x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        y = np.array([0, 0, 1, 1])
-        model = nm.ModelParams(
-            feature=[nm.DenseLayer(np.eye(2), np.zeros((1, 2)), "none")],
-            classifier=nm.DenseLayer(np.eye(2), np.zeros((1, 2)), "none"),
-            encoder=[
-                nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "relu"),
-                nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "relu"),
-                nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "tanh"),
-            ],
-        )
-        ds = dm.Dataset(X=x, y=y, class_counts=np.array([2, 2]))
-        report = tm.retrieval_eval(model, ds, ks=(1, 2))
+        report = tm.retrieval_eval(identity_model(2), labelled(x, np.array([0, 0, 1, 1])),
+                                   ks=(1, 2))
         assert report.recall_at[1] == 1.0
         assert report.skipped_queries == 0
 
@@ -276,17 +340,7 @@ class TestRetrieval:
         rng = Rng(61)
         x = rng.normals(1000, 8)
         y = np.arange(1000) % 2
-        model = nm.ModelParams(
-            feature=[nm.DenseLayer(np.eye(8), np.zeros((1, 8)), "none")],
-            classifier=nm.DenseLayer(np.zeros((8, 2)), np.zeros((1, 2)), "none"),
-            encoder=[
-                nm.DenseLayer(np.zeros((8, 2)), np.zeros((1, 2)), "relu"),
-                nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "relu"),
-                nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "tanh"),
-            ],
-        )
-        ds = dm.Dataset(X=x, y=y, class_counts=np.array([500, 500]))
-        report = tm.retrieval_eval(model, ds, ks=(1,))
+        report = tm.retrieval_eval(identity_model(8), labelled(x, y), ks=(1,))
         assert abs(report.recall_at[1] - 0.5) <= 0.05
 
     def test_monotone_in_k(self):
@@ -298,20 +352,61 @@ class TestRetrieval:
 
     def test_singleton_class_skipped_and_counted(self):
         x = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
-        y = np.array([0, 0, 1])
-        model = nm.ModelParams(
-            feature=[nm.DenseLayer(np.eye(2), np.zeros((1, 2)), "none")],
-            classifier=nm.DenseLayer(np.eye(2), np.zeros((1, 2)), "none"),
-            encoder=[
-                nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "relu"),
-                nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "relu"),
-                nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "tanh"),
-            ],
-        )
-        ds = dm.Dataset(X=x, y=y, class_counts=np.array([2, 1]))
-        report = tm.retrieval_eval(model, ds, ks=(1, 2))
+        report = tm.retrieval_eval(identity_model(2), labelled(x, np.array([0, 0, 1])),
+                                   ks=(1, 2))
         assert report.skipped_queries == 1
         assert report.num_queries == 2
+
+    def test_exact_ties_match_dense_stable_argsort(self):
+        # One-hot and all-zero rows make every similarity exactly 0 or 1 in
+        # any summation order, so ties are real ties; 700 rows span several
+        # query blocks and a partial last one.
+        n, dim = 700, 6
+        rng = Rng(65)
+        hot = np.array([rng.below(dim + 1) for _ in range(n)])  # dim: an all-zero row
+        x = np.zeros((n, dim))
+        rows = np.flatnonzero(hot < dim)
+        x[rows, hot[rows]] = 1.0
+        y = np.array([rng.below(40) for _ in range(n)])
+        y[[3, 350, 699]] = [40, 41, 42]  # singleton classes
+        y = np.unique(y, return_inverse=True)[1]
+        ks = (1, 2, 3, 5, 8, 20, 64, 200)
+        report = tm.retrieval_eval(identity_model(dim), labelled(x, y), ks=ks)
+
+        sim = x @ x.T
+        np.fill_diagonal(sim, -np.inf)
+        order = np.argsort(-sim, axis=1, kind="stable")
+        same = y[order] == y[:, None]
+        valid = np.bincount(y)[y] >= 2
+        dense = {k: float(same[:, :k].any(axis=1)[valid].mean()) for k in ks}
+        assert report.recall_at == dense
+        assert report.skipped_queries == 3
+        assert len(set(dense.values())) > 4  # the depths tell the ranks apart
+
+    def test_memory_linear_in_queries(self):
+        rng = Rng(66)
+        x = rng.normals(2000, 16)
+        y = np.arange(2000) % 50
+        model, ds = identity_model(16), labelled(x, y)
+        tracemalloc.start()
+        try:
+            tm.retrieval_eval(model, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # one dense 2000 x 2000 float64 matrix is 32 MB
+
+    @pytest.mark.parametrize("ks", [(), (0, 1), (-1,)])
+    def test_recall_depth_below_one_rejected(self, ks):
+        x = np.eye(4)
+        with pytest.raises(DomainError):
+            tm.retrieval_eval(identity_model(4), labelled(x, np.array([0, 0, 1, 1])), ks=ks)
+
+    def test_non_finite_embedding_rejected(self):
+        x = np.eye(4)
+        x[2, 1] = np.nan
+        with pytest.raises(NumericError):
+            tm.retrieval_eval(identity_model(4), labelled(x, np.array([0, 0, 1, 1])), ks=(1,))
 
 
 class TestCorrelationExport:
