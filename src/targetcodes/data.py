@@ -4,7 +4,7 @@ CSV round-tripping, and deterministic batching.
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -184,47 +184,45 @@ def select_classes(ds: Dataset, classes) -> Dataset:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write `label,f0,...,fD-1` rows; floats use %.17g so values round-trip
-    bit-exactly."""
+    """Write `label,f0,...,fD-1` rows ending in CRLF; floats use %.17g so
+    values round-trip bit-exactly."""
     dim = ds.X.shape[1]
     with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(dim)])
+        fh.write(",".join(["label"] + [f"f{i}" for i in range(dim)]) + "\r\n")
         for label, row in zip(ds.y, ds.X):
-            writer.writerow([int(label)] + ["%.17g" % v for v in row])
+            fh.write(",".join([str(int(label))] + ["%.17g" % v for v in row]) + "\r\n")
 
 
 def load_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_csv`: integer labels and finite
-    features. A malformed file raises FormatError naming its line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        labels, rows = [], []
+    features. Fields are split at every comma, with no quoting and no
+    comments; empty lines are skipped. A malformed file raises FormatError
+    naming its line."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            header = next(reader, None)
-            if not header or header[0] != "label":
+            header = fh.readline().rstrip("\n").split(",")
+            if header[0] != "label":
                 raise FormatError(f"{path}: expected a 'label,f0,...' header")
             dim = len(header) - 1
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != dim + 1:
-                    raise FormatError(f"{path}:{line_no}: expected {dim + 1} fields")
-                try:
-                    labels.append(int(row[0]))
-                    rows.append([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{line_no}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: cannot decode byte 0x{exc.object[exc.start]:02x}") from None
-        except csv.Error as exc:
-            raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows:
-        raise FormatError(f"{path}: no data rows")
-    X = np.array(rows, dtype=np.float64)
-    finite = np.isfinite(X)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise FormatError(f"{path}:{row + 2}: non-finite value in {header[col + 1]}")
-    y = np.array(labels, dtype=np.intp)
+            # As errors, warnings cover an empty input and float-form labels,
+            # which older numpy releases accept with a DeprecationWarning.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    fh,
+                    delimiter=",",
+                    dtype=[("y", np.intp), ("X", np.float64, (dim,))],
+                    comments=None,
+                    ndmin=1,
+                )
+        except FormatError:
+            raise
+        except (ValueError, UnicodeDecodeError, Warning) as exc:
+            raise _format_error(path, str(exc)) from None
+    X = np.ascontiguousarray(table["X"])
+    if not np.isfinite(X).all():
+        raise _format_error(path, "non-finite value")
+    y = np.ascontiguousarray(table["y"])
     if y.min() < 0:
         raise FormatError(f"{path}: negative label {int(y.min())}")
     return Dataset(
@@ -232,6 +230,49 @@ def load_csv(path) -> Dataset:
         y=y,
         class_counts=np.bincount(y, minlength=int(y.max()) + 1).astype(np.int64),
     )
+
+
+def _bad_field(text: str, parse) -> bool:
+    """Whether np.loadtxt refuses ``text``: Python's int and float also take
+    digit separators and non-ASCII digits, which numpy does not."""
+    text = text.strip()
+    if "_" in text or not text.isascii():
+        return True
+    try:
+        parse(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _format_error(path, reason: str) -> FormatError:
+    """Re-scan a file that :func:`load_csv` refused, in plain Python, and
+    name its first bad line; ``reason`` is the message when none is found.
+    Only a malformed file reaches this."""
+    with open(path, "rb") as fh:
+        raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        return FormatError(f"{path}:{line_no}: cannot decode byte 0x{raw[exc.start]:02x}")
+    if not any(lines[1:]):
+        return FormatError(f"{path}: no data rows")
+    header = lines[0].split(",")
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != len(header):
+            return FormatError(f"{path}:{line_no}: expected {len(header)} fields")
+        if _bad_field(fields[0], int):
+            return FormatError(f"{path}:{line_no}: invalid label {fields[0]!r}")
+        for name, field in zip(header[1:], fields[1:]):
+            if _bad_field(field, float):
+                return FormatError(f"{path}:{line_no}: invalid value {field!r} in {name}")
+            if not np.isfinite(float(field)):
+                return FormatError(f"{path}:{line_no}: non-finite value in {name}")
+    return FormatError(f"{path}: {reason}")
 
 
 def batches(ds: Dataset, batch_size: int, seed: int, epoch: int) -> list[np.ndarray]:

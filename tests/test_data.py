@@ -1,11 +1,14 @@
 """Blob generation, long-tail subsampling, CSV round-trips, and
 deterministic batching."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from targetcodes.core import Rng
 from targetcodes.data import (
+    Dataset,
     batches,
     load_csv,
     long_tail_counts,
@@ -140,16 +143,31 @@ class TestCsv:
         assert np.array_equal(loaded.y, ds.y)
         assert np.array_equal(loaded.class_counts, ds.class_counts)
 
+    def test_edge_values_roundtrip_bit_exact(self, tmp_path):
+        X = np.array(
+            [
+                [-0.0, 0.0, 5e-324, -5e-324],
+                [2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308],
+                [0.1, 1 / 3, np.nextafter(1.0, 2.0), 0.30000000000000004],
+                [-2 / 3, 1.2345678901234567e-100, 6.02214076e23, np.pi],
+            ]
+        )
+        ds = Dataset(X=X, y=np.array([0, 1, 1, 0]), class_counts=np.array([2, 2]))
+        path = tmp_path / "edge.csv"
+        save_csv(ds, path)
+        assert load_csv(path).X.tobytes() == X.tobytes()
+
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             load_csv(path)
+        assert str(err.value) == f"{path}: expected a 'label,f0,...' header"
 
     def test_field_count_validated(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("label,f0,f1\n0,1.0\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=r"ragged\.csv:2: expected 3 fields"):
             load_csv(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
@@ -159,11 +177,78 @@ class TestCsv:
         with pytest.raises(FormatError, match=r"nonfinite\.csv:3: non-finite value in f1"):
             load_csv(path)
 
-    @pytest.mark.parametrize("row", ["0,abc,2", "0,,2", "x,1,2"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0,abc,2",
+            "0,,2",
+            "x,1,2",
+            "1.5,1,2",
+            "1e0,1,2",
+            "1_0,1,2",
+            "0,1_0,2",
+            "0,1#x,2",
+            "0,1,2#x",
+            '"1",1,2',
+            '0,"1",2',
+            " ",
+        ],
+    )
     def test_unparsable_field_names_its_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"label,f0,f1\n0,1,2\n{row}\n")
         with pytest.raises(FormatError, match=r"bad\.csv:3: "):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (b"0,abc,2", "invalid value 'abc' in f0"),
+            (b"0,1", "expected 3 fields"),
+            (b"0,nan,2", "non-finite value in f0"),
+            (b"0,\xff,2", "cannot decode byte 0xff"),
+        ],
+    )
+    def test_error_located_past_the_first_rows(self, tmp_path, row, message):
+        path = tmp_path / "big.csv"
+        path.write_bytes(b"label,f0,f1\r\n" + b"1,0.5,-2.25\r\n" * 2999 + row + b"\r\n")
+        with pytest.raises(FormatError, match=rf"big\.csv:3001: {message}$"):
+            load_csv(path)
+
+    def test_empty_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("label,f0,f1\n\n0,1,2\n\n1,3,4\n\n")
+        assert load_csv(path).X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path.write_text("label,f0,f1\n\n0,1,2\n\n1,3,inf\n")
+        with pytest.raises(FormatError, match=r"blank\.csv:5: non-finite value in f1"):
+            load_csv(path)
+        path.write_text("label,f0,f1\n\n\n")
+        with pytest.raises(FormatError, match=r"blank\.csv: no data rows"):
+            load_csv(path)
+
+    def test_negative_label_rejected(self, tmp_path):
+        path = tmp_path / "neg.csv"
+        path.write_text("label,f0\n0,1\n-1,2\n")
+        with pytest.raises(FormatError, match=r"neg\.csv: negative label -1"):
+            load_csv(path)
+
+    def test_unlocated_error_keeps_numpy_message(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("label,f0\n0,1\n99999999999999999999,2\n")
+        with pytest.raises(FormatError, match=r"huge\.csv: .*'99999999999999999999'"):
+            load_csv(path)
+
+    def test_loadtxt_warning_is_an_error(self, tmp_path, monkeypatch):
+        loadtxt = np.loadtxt
+
+        def warn_then_load(*args, **kwargs):
+            warnings.warn("parsing an integer via a float is deprecated", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warn_then_load)
+        path = tmp_path / "warn.csv"
+        path.write_text("label,f0\n0,1\n")
+        with pytest.raises(FormatError, match=r"warn\.csv: parsing an integer via a float"):
             load_csv(path)
 
     def test_truncated_or_corrupted_file_loads_or_raises_format_error(self, tmp_path):
