@@ -11,7 +11,7 @@ as a smooth surrogate for ablations.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,17 +47,24 @@ _ACTIVATION_NAMES = {v: k for k, v in _ACTIVATION_CODES.items()}
 class CodeBank:
     """K class codewords of length L, fixed or learnable.
 
-    ``weights`` is the K x L parameter matrix. For hadamard_fixed banks it
-    holds the selected +-1 codewords directly and must never be updated;
-    for learnable banks it holds real parameters read through ``activate``.
+    ``weights`` is the K x L parameter matrix, and K and L are read from
+    its shape. For hadamard_fixed banks it holds the selected +-1
+    codewords directly and must never be updated; for learnable banks it
+    holds real parameters read through ``activate``.
     """
 
     kind: str
-    num_classes: int
-    code_length: int
     weights: Matrix
     activation: str = SIGN
-    tanh_scale: float = field(default=1.0)
+    tanh_scale: float = 1.0
+
+    @property
+    def num_classes(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def code_length(self) -> int:
+        return self.weights.shape[1]
 
     def __post_init__(self):
         if self.kind not in (HADAMARD_FIXED, LEARNABLE):
@@ -67,11 +74,6 @@ class CodeBank:
         if self.tanh_scale <= 0:
             raise DomainError(f"tanh scale must be positive, got {self.tanh_scale}")
         self.weights = as_matrix(self.weights)
-        if self.weights.shape != (self.num_classes, self.code_length):
-            raise DimensionError(
-                f"weights shape {self.weights.shape} does not match "
-                f"({self.num_classes}, {self.code_length})"
-            )
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -110,12 +112,7 @@ def select_hadamard_codes(m: int, num_classes: int, rng: Rng) -> CodeBank:
             f"{num_classes} classes need length > {num_classes}, got {m}"
         )
     rows = [1 + i for i in rng.sample(m - 1, num_classes)]
-    return CodeBank(
-        kind=HADAMARD_FIXED,
-        num_classes=num_classes,
-        code_length=m,
-        weights=h[rows].copy(),
-    )
+    return CodeBank(kind=HADAMARD_FIXED, weights=h[rows].copy())
 
 
 def init_learnable_codes(
@@ -135,14 +132,7 @@ def init_learnable_codes(
     if code_length < 1:
         raise DomainError(f"code length must be positive, got {code_length}")
     w = rng.normals(num_classes, code_length)
-    return CodeBank(
-        kind=LEARNABLE,
-        num_classes=num_classes,
-        code_length=code_length,
-        weights=w,
-        activation=activation,
-        tanh_scale=tanh_scale,
-    )
+    return CodeBank(kind=LEARNABLE, weights=w, activation=activation, tanh_scale=tanh_scale)
 
 
 def activate(bank: CodeBank) -> Matrix:
@@ -254,8 +244,6 @@ def _decode_bank(kind_code: int, act_code: int, tanh_scale: float, weights) -> C
         raise FormatError(f"unknown code bank activation code {act_code}")
     return CodeBank(
         kind=_KIND_NAMES[kind_code],
-        num_classes=weights.shape[0],
-        code_length=weights.shape[1],
         weights=weights,
         activation=_ACTIVATION_NAMES[act_code],
         tanh_scale=tanh_scale,

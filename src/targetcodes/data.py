@@ -5,26 +5,24 @@ CSV round-tripping, and deterministic batching.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Matrix, Rng, atomic_open, derive_seed
-from .errors import ConsistencyError, DimensionError, DomainError, FormatError
+from .errors import DimensionError, DomainError, FormatError
 
 @dataclass
 class Dataset:
-    """Feature rows with integer labels and per-class counts.
+    """Feature rows with non-negative integer labels.
 
-    ``groups`` optionally maps each class to a superclass id (synthetic
-    blobs only); it survives subsampling but not CSV export.
+    ``class_counts`` is ``np.bincount(y)``, so class k has
+    ``class_counts[k]`` rows and the class count is ``max(y) + 1``.
     """
 
     X: Matrix
     y: np.ndarray
-    class_counts: np.ndarray
-    groups: Optional[np.ndarray] = None
+    class_counts: np.ndarray = field(init=False)
 
     @property
     def num_samples(self) -> int:
@@ -39,8 +37,7 @@ class Dataset:
             raise DimensionError(
                 f"{self.X.shape[0]} feature rows for {self.y.shape[0]} labels"
             )
-        if int(self.class_counts.sum()) != self.y.shape[0]:
-            raise ConsistencyError("class counts do not sum to the sample count")
+        self.class_counts = np.bincount(self.y)
 
 
 def make_blobs(
@@ -71,10 +68,9 @@ def make_blobs(
     group_centers = rng.normals(num_groups, dim) * spread_group
     class_centers = np.empty((num_classes, dim))
     per_group = num_classes // num_groups
-    groups = np.arange(num_classes) // per_group
     for k in range(num_classes):
         offset = rng.normals(1, dim)[0] * class_center_spread
-        class_centers[k] = group_centers[groups[k]] + offset
+        class_centers[k] = group_centers[k // per_group] + offset
     X = np.empty((num_classes * per_class, dim))
     y = np.empty(num_classes * per_class, dtype=np.intp)
     row = 0
@@ -83,8 +79,7 @@ def make_blobs(
         X[row : row + per_class] = class_centers[k] + noise
         y[row : row + per_class] = k
         row += per_class
-    counts = np.full(num_classes, per_class, dtype=np.int64)
-    return Dataset(X=X, y=y, class_counts=counts, groups=groups)
+    return Dataset(X=X, y=y)
 
 
 def _round_half_up(x: float) -> int:
@@ -129,12 +124,7 @@ def long_tail_subsample(ds: Dataset, ratio: float, rng: Rng) -> Dataset:
         chosen = rng.sample(len(class_idx), keep_counts[k])
         keep.extend(class_idx[i] for i in chosen)
     keep = np.array(sorted(keep), dtype=np.intp)
-    return Dataset(
-        X=ds.X[keep].copy(),
-        y=ds.y[keep].copy(),
-        class_counts=np.array(keep_counts, dtype=np.int64),
-        groups=None if ds.groups is None else ds.groups.copy(),
-    )
+    return Dataset(X=ds.X[keep].copy(), y=ds.y[keep].copy())
 
 
 def split_per_class(ds: Dataset, test_per_class: int) -> tuple[Dataset, Dataset]:
@@ -151,17 +141,10 @@ def split_per_class(ds: Dataset, test_per_class: int) -> tuple[Dataset, Dataset]
         class_idx = np.flatnonzero(ds.y == k)
         train_idx.extend(class_idx[:-test_per_class])
         test_idx.extend(class_idx[-test_per_class:])
-    train_idx = np.array(sorted(train_idx), dtype=np.intp)
-    test_idx = np.array(sorted(test_idx), dtype=np.intp)
 
     def subset(idx):
-        yy = ds.y[idx].copy()
-        return Dataset(
-            X=ds.X[idx].copy(),
-            y=yy,
-            class_counts=np.bincount(yy, minlength=ds.num_classes),
-            groups=None if ds.groups is None else ds.groups.copy(),
-        )
+        idx = np.array(sorted(idx), dtype=np.intp)
+        return Dataset(X=ds.X[idx].copy(), y=ds.y[idx].copy())
 
     return subset(train_idx), subset(test_idx)
 
@@ -172,15 +155,7 @@ def select_classes(ds: Dataset, classes) -> Dataset:
     remap = {int(c): i for i, c in enumerate(classes)}
     mask = np.isin(ds.y, classes)
     y = np.array([remap[int(c)] for c in ds.y[mask]], dtype=np.intp)
-    groups = None
-    if ds.groups is not None:
-        groups = np.array([ds.groups[c] for c in classes])
-    return Dataset(
-        X=ds.X[mask].copy(),
-        y=y,
-        class_counts=np.bincount(y, minlength=len(classes)),
-        groups=groups,
-    )
+    return Dataset(X=ds.X[mask].copy(), y=y)
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -225,11 +200,7 @@ def load_csv(path) -> Dataset:
     y = np.ascontiguousarray(table["y"])
     if y.min() < 0:
         raise FormatError(f"{path}: negative label {int(y.min())}")
-    return Dataset(
-        X=X,
-        y=y,
-        class_counts=np.bincount(y, minlength=int(y.max()) + 1).astype(np.int64),
-    )
+    return Dataset(X=X, y=y)
 
 
 def _bad_field(text: str, parse) -> bool:

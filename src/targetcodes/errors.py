@@ -33,10 +33,6 @@ class FormatError(TargetCodesError, ValueError):
     """A file does not parse as the expected binary or text format."""
 
 
-class ConsistencyError(TargetCodesError, ValueError):
-    """Two inputs that must agree (e.g. paired files) do not."""
-
-
 class VersionError(FormatError):
     """A file was written by an incompatible format version."""
 

@@ -37,7 +37,8 @@ class Hyperparams:
     are 0-based epoch indices at which every rate is multiplied by
     ``decay_factor``. Rates, weight decay, loss weights and the margin must
     be finite and non-negative, ``tanh_scale`` and ``decay_factor`` finite
-    and positive, and ``momentum`` in [0, 1).
+    and positive, ``momentum`` in [0, 1), ``seed`` in [0, 2**64) and each
+    decay epoch in [0, 2**32).
     """
 
     num_classes: int
@@ -83,6 +84,11 @@ class Hyperparams:
                 f"decay_factor must be finite and positive, got {self.decay_factor}"
             )
         self.decay_epochs = tuple(int(e) for e in self.decay_epochs)
+        # LTCK checkpoints store the seed as u64 and each decay epoch as u32
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not all(0 <= e < 2**32 for e in self.decay_epochs):
+            raise DomainError(f"decay_epochs must lie in [0, 2**32), got {self.decay_epochs}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .errors import (
     ConfigError,
     DimensionError,
     DomainError,
+    FormatError,
     NumericError,
     TrainingDiverged,
 )
@@ -227,6 +228,8 @@ def validate_config(
         )
     if config.eval_every < 1:
         raise ConfigError(f"eval_every must be positive, got {config.eval_every}")
+    if config.checkpoint_every < 0:
+        raise ConfigError(f"checkpoint_every must be at least 0, got {config.checkpoint_every}")
     if not config.feature_widths:
         raise ConfigError("feature_widths must name at least one layer")
     if min(config.feature_widths) < 1:
@@ -267,7 +270,8 @@ def _check_resume_state(
     state: net_mod.CheckpointState, config: TrainConfig, input_dim: int
 ) -> None:
     """Refuse ``state`` unless ``config`` would continue the same run: same
-    mode, seed, optimizer settings and layers, with epochs left to train."""
+    mode, seed, optimizer settings, layers and code bank, with epochs left
+    to train."""
     hp = config.hp
     if state.mode != config.mode:
         raise ConfigError(
@@ -293,8 +297,20 @@ def _check_resume_state(
             f"checkpoint is at epoch {state.epoch}, so none of the {hp.epochs} "
             "configured epochs is left to train"
         )
-    if state.bank is None:
+    bank = state.bank
+    if bank is None:
         raise ConfigError("checkpoint is missing the code bank")
+    # the bank a fresh run of this config builds, see _init_bank
+    got = (bank.kind, bank.weights.shape)
+    want = (
+        codes_mod.HADAMARD_FIXED if config.mode == HTC else codes_mod.LEARNABLE,
+        (hp.num_classes, hp.code_length),
+    )
+    if bank.kind == codes_mod.LEARNABLE:
+        got += (bank.activation, bank.tanh_scale)
+        want += (config.activation, hp.tanh_scale)
+    if got != want:
+        raise ConfigError(f"checkpoint code bank {got} does not match config {want}")
 
 
 def _save_state(path, config, epoch, model, optimizer, bank) -> str:
@@ -311,13 +327,28 @@ def _save_state(path, config, epoch, model, optimizer, bank) -> str:
     return str(path)
 
 
-def _metrics_through(path, epoch: int) -> list[str]:
+def _metrics_through(path, epoch: int) -> list[bytes]:
     """The complete lines of an existing metrics file up to ``epoch``, so a
-    run resumed into its own directory keeps its history."""
+    run resumed into its own directory keeps its history. A complete line
+    that is not a JSON object with an integer ``epoch`` raises FormatError."""
     if not os.path.exists(path):
         return []
-    with open(path) as fh:
-        return [l for l in fh if l.endswith("\n") and json.loads(l)["epoch"] <= epoch]
+    kept = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                continue  # torn by a killed write
+            try:
+                line_epoch = json.loads(line)["epoch"]
+            except (ValueError, TypeError, KeyError):
+                line_epoch = None
+            if type(line_epoch) is not int:
+                raise FormatError(
+                    f"{path}:{line_no}: expected a JSON object with an integer epoch"
+                )
+            if line_epoch <= epoch:
+                kept.append(line)
+    return kept
 
 
 def train(
@@ -373,13 +404,14 @@ def train(
     out_dir = config.out_dir
     metrics_fh = None
     if out_dir is not None:
+        metrics_path = os.path.join(out_dir, "metrics.jsonl")
+        kept = [] if resume_from is None else _metrics_through(metrics_path, start_epoch)
         os.makedirs(out_dir, exist_ok=True)
         with atomic_open(os.path.join(out_dir, "resolved.cfg")) as fh:
             fh.write(format_config(config))
-        metrics_path = os.path.join(out_dir, "metrics.jsonl")
-        kept = [] if resume_from is None else _metrics_through(metrics_path, start_epoch)
-        metrics_fh = open(metrics_path, "w")
-        metrics_fh.writelines(kept)
+        with atomic_open(metrics_path, "wb") as fh:
+            fh.writelines(kept)
+        metrics_fh = open(metrics_path, "a")
         if resume_from is None:
             export_code_correlation(bank, os.path.join(out_dir, "corr_init.csv"))
 

@@ -82,9 +82,9 @@ def test_c03_ste_contract():
     assert out[0].tolist() == [1.0, -0.3, -1.0]
     grid = np.concatenate([np.linspace(0.1, 4.0, 200), -np.linspace(0.1, 4.0, 200)])
     w = grid.reshape(4, 100)
-    tanh_bank = cm.CodeBank("learnable", 4, 100, w.copy(),
+    tanh_bank = cm.CodeBank("learnable", w.copy(),
                             activation="tanh_scaled", tanh_scale=100.0)
-    sign_bank = cm.CodeBank("learnable", 4, 100, w.copy())
+    sign_bank = cm.CodeBank("learnable", w.copy())
     gap = float(np.abs(cm.activate(tanh_bank) - cm.activate(sign_bank)).max())
     report("C3 ste-contract", gap <= 5e-9,
            f"clip map exact, tanh(100w) vs sign gap {gap:.2e} <= 5e-9 for |w|>=0.1")
@@ -187,7 +187,7 @@ def test_c07_correlation_structure_emergence():
                                 encoder_hidden=32)
         result = tm.train(config, train, test)
         corr = cm.normalized_correlation(cm.activate(result.bank))
-        intra, inter = tm.group_correlation_split(corr, train.groups)
+        intra, inter = tm.group_correlation_split(corr, np.arange(8) // 4)
         pairs.append((intra, inter))
         hits += intra > inter
     detail = " ".join(f"({a:.3f}>{b:.3f})" for a, b in pairs)
@@ -201,8 +201,7 @@ def test_c08_retrieval_sanity():
         rng = Rng(derive_seed(seed, 100))
         ds = dm.make_blobs(8, 16, 8, 120, 1.0, 6.0, rng)
         noise = rng.normals(ds.num_samples, 16) * 6.0  # nuisance dims shared by all classes
-        ds = dm.Dataset(X=np.hstack([ds.X, noise]), y=ds.y,
-                        class_counts=ds.class_counts, groups=ds.groups)
+        ds = dm.Dataset(X=np.hstack([ds.X, noise]), y=ds.y)
         train_half = dm.select_classes(ds, range(4))
         held_out = dm.select_classes(ds, range(4, 8))
         for mode, scores in (("baseline", base_scores), ("ltc", ltc_scores)):

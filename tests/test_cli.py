@@ -6,6 +6,7 @@ import pytest
 
 from targetcodes import cli, codes, network, trainer
 from targetcodes.codes import load_bank
+from targetcodes.core import Rng
 from targetcodes.data import load_csv
 
 
@@ -202,6 +203,8 @@ class TestTrain:
         "margin=nan", "margin=inf", "tanh_scale=nan",
         "momentum=nan", "momentum=1", "momentum=-0.1",
         "decay_factor=-1", "decay_factor=0", "decay_factor=nan",
+        "seed=-1", "seed=18446744073709551616",
+        "decay_epochs=-1", "decay_epochs=4294967296", "checkpoint_every=-1",
     ])
     def test_out_of_range_setting_exit_2(self, tmp_path, blob_csvs, capsys, setting):
         train, test = blob_csvs
@@ -329,6 +332,48 @@ class TestTrain:
             code = run_cli(*base, "--set", f"{key}={value}", "--resume", ckpt)
             assert code == 2, key
             assert f"checkpoint {key} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["tanh_activation", "short_bank", "hadamard_bank"])
+    def test_resume_refuses_a_different_code_bank(self, tmp_path, blob_csvs, capsys, case):
+        train, test = blob_csvs
+        base = self.train_args(tmp_path, train, test, "--mode", "ltc",
+                               "--set", "checkpoint_every=2")
+        assert run_cli(*base) == 0
+        run_dir = tmp_path / "run"
+        ckpt = run_dir / "ckpt_epoch2.ltck"
+        extra = []
+        if case == "tanh_activation":
+            extra = ["--set", "activation=tanh_scaled"]
+        else:
+            state = network.load_checkpoint(ckpt)
+            if case == "short_bank":
+                state.bank = codes.init_learnable_codes(4, 8, Rng(0))
+            else:
+                state.bank = codes.select_hadamard_codes(16, 4, Rng(0))
+            ckpt = tmp_path / "edited.ltck"
+            network.save_checkpoint(ckpt, state)
+        before = self.snapshot(run_dir)
+        capsys.readouterr()
+        assert run_cli(*base, *extra, "--resume", str(ckpt)) == 2
+        assert "checkpoint code bank" in capsys.readouterr().err
+        assert self.snapshot(run_dir) == before
+
+    def test_malformed_metrics_file_refuses_resume(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        base = self.train_args(tmp_path, train, test, "--mode", "ltc",
+                               "--set", "checkpoint_every=2")
+        assert run_cli(*base) == 0
+        run_dir = tmp_path / "run"
+        metrics = run_dir / "metrics.jsonl"
+        lines = metrics.read_text().splitlines(keepends=True)
+        for bad in ("not json\n", "[2]\n", '{"top1": 0.5}\n', '{"epoch": "2"}\n'):
+            metrics.write_text(lines[0] + bad + "".join(lines[2:]))
+            before = self.snapshot(run_dir)
+            capsys.readouterr()
+            code = run_cli(*base, "--resume", str(run_dir / "ckpt_epoch2.ltck"))
+            assert code == 2, bad
+            assert f"{metrics}:2: expected a JSON object" in capsys.readouterr().err
+            assert self.snapshot(run_dir) == before
 
     def test_os_errors_exit_2(self, tmp_path, blob_csvs, capsys):
         train, test = blob_csvs

@@ -115,12 +115,12 @@ class TestLearnableInit:
 
 class TestActivate:
     def test_sign_with_zero_tiebreak(self):
-        bank = CodeBank("learnable", 1, 3, np.array([[0.3, -2.0, 0.0]]))
+        bank = CodeBank("learnable", np.array([[0.3, -2.0, 0.0]]))
         assert activate(bank).tolist() == [[1.0, -1.0, 1.0]]
 
     def test_tanh_scaled_near_saturation(self):
         bank = CodeBank(
-            "learnable", 1, 1, np.array([[0.1]]), activation="tanh_scaled", tanh_scale=100.0
+            "learnable", np.array([[0.1]]), activation="tanh_scaled", tanh_scale=100.0
         )
         value = activate(bank)[0, 0]
         assert 0 < 1.0 - value < 5e-9  # tanh(10) in double precision
@@ -132,15 +132,15 @@ class TestActivate:
     def test_idempotent_on_binary_input(self):
         bank = init_learnable_codes(4, 16, Rng(11))
         s = activate(bank)
-        again = CodeBank("learnable", 4, 16, s.copy())
+        again = CodeBank("learnable", s.copy())
         assert np.array_equal(activate(again), s)
 
     def test_tanh_converges_to_sign(self):
         rng = Rng(13)
         w = rng.normals(6, 32)
         w[np.abs(w) < 0.1] = 0.15  # keep |w| >= 0.1 everywhere
-        tanh_bank = CodeBank("learnable", 6, 32, w, activation="tanh_scaled", tanh_scale=100.0)
-        sign_bank = CodeBank("learnable", 6, 32, w.copy())
+        tanh_bank = CodeBank("learnable", w, activation="tanh_scaled", tanh_scale=100.0)
+        sign_bank = CodeBank("learnable", w.copy())
         gap = np.abs(activate(tanh_bank) - activate(sign_bank)).max()
         assert gap <= 5e-9
 
@@ -172,18 +172,18 @@ class TestSteBackward:
 
     def test_tanh_multiplier_at_zero_is_scale(self):
         bank = CodeBank(
-            "learnable", 1, 1, np.array([[0.0]]), activation="tanh_scaled", tanh_scale=10.0
+            "learnable", np.array([[0.0]]), activation="tanh_scaled", tanh_scale=10.0
         )
         out = ste_backward(bank, np.array([[1.0]]))
         assert out[0, 0] == pytest.approx(10.0)
 
     def test_tanh_rule_matches_finite_differences(self):
         w = np.array([[0.2, -0.4, 0.05]])
-        bank = CodeBank("learnable", 1, 3, w, activation="tanh_scaled", tanh_scale=10.0)
+        bank = CodeBank("learnable", w, activation="tanh_scaled", tanh_scale=10.0)
         upstream = np.array([[0.7, -1.3, 0.4]])
 
         def f(m):
-            b = CodeBank("learnable", 1, 3, m.copy(), activation="tanh_scaled", tanh_scale=10.0)
+            b = CodeBank("learnable", m.copy(), activation="tanh_scaled", tanh_scale=10.0)
             return float((activate(b) * upstream).sum())
 
         analytic = ste_backward(bank, upstream)
@@ -198,7 +198,7 @@ class TestSteBackward:
 
 class TestUpdateCodes:
     def test_single_step(self):
-        bank = CodeBank("learnable", 1, 1, np.array([[1.0]]))
+        bank = CodeBank("learnable", np.array([[1.0]]))
         update_codes(bank, np.array([[1.0]]), 0.1)
         assert bank.weights[0, 0] == pytest.approx(0.9)
 

@@ -32,10 +32,6 @@ class TestMakeBlobs:
         assert ds.num_samples == 400
         assert ds.class_counts.tolist() == [50] * 8
 
-    def test_group_assignment_contiguous(self):
-        ds = make_blobs(8, 3, 2, 5, 1.0, 2.0, Rng(3))
-        assert ds.groups.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
-
     def test_intra_group_centers_closer_than_inter(self):
         # direct distance computation over generated class centers,
         # averaged over 20 seeds, with sigma_group >> sigma_within
@@ -47,7 +43,7 @@ class TestMakeBlobs:
             for a in range(8):
                 for b in range(a + 1, 8):
                     d = float(np.linalg.norm(centers[a] - centers[b]))
-                    (intra if ds.groups[a] == ds.groups[b] else inter).append(d)
+                    (intra if a // 4 == b // 4 else inter).append(d)
             wins += np.mean(intra) < np.mean(inter)
         assert wins >= 19
 
@@ -152,7 +148,7 @@ class TestCsv:
                 [-2 / 3, 1.2345678901234567e-100, 6.02214076e23, np.pi],
             ]
         )
-        ds = Dataset(X=X, y=np.array([0, 1, 1, 0]), class_counts=np.array([2, 2]))
+        ds = Dataset(X=X, y=np.array([0, 1, 1, 0]))
         path = tmp_path / "edge.csv"
         save_csv(ds, path)
         assert load_csv(path).X.tobytes() == X.tobytes()

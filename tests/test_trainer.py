@@ -173,6 +173,23 @@ class TestDeterminismAndResume:
         ).read_bytes()
         assert (run / "corr_init.csv").read_bytes() == corr_init
 
+    def test_resume_writes_kept_history_before_the_first_batch(self, tmp_path):
+        train_ds, test_ds = blob_sets()
+        run = tmp_path / "run"
+        cfg = small_config("ltc", epochs=6, out_dir=str(run))
+        cfg.checkpoint_every = 3
+        tm.train(cfg, train_ds, test_ds)
+        kept = (run / "metrics.jsonl").read_text().splitlines(keepends=True)[:3]
+        on_disk = []
+
+        def hook(epoch, idx, bundle):
+            if not on_disk:
+                on_disk.append((run / "metrics.jsonl").read_text())
+
+        tm.train(cfg, train_ds, test_ds, batch_hook=hook,
+                 resume_from=str(run / "ckpt_epoch3.ltck"))
+        assert on_disk == ["".join(kept)]
+
     def test_resume_rejects_mismatched_dims(self, tmp_path):
         train_ds, test_ds = blob_sets()
         cfg = small_config("ltc", epochs=4, out_dir=str(tmp_path / "src"))
@@ -274,7 +291,7 @@ class TestEvaluate:
             ],
         )
         y = np.arange(1000) % 10
-        ds = dm.Dataset(X=logits, y=y, class_counts=np.full(10, 100))
+        ds = dm.Dataset(X=logits, y=y)
         top1, top5 = tm.evaluate(model, ds)
         assert abs(top1 - 0.1) <= 0.03
         assert abs(top5 - 0.5) <= 0.05
@@ -291,7 +308,7 @@ class TestEvaluate:
                 nm.DenseLayer(np.zeros((2, 4)), np.zeros((1, 4)), "tanh"),
             ],
         )
-        ds = dm.Dataset(X=x, y=y, class_counts=np.array([1, 2, 1]))
+        ds = dm.Dataset(X=x, y=y)
         top1, top5 = tm.evaluate(model, ds)
         assert top1 == 1.0 and top5 == 1.0
 
@@ -324,14 +341,10 @@ def identity_model(dim):
     )
 
 
-def labelled(x, y):
-    return dm.Dataset(X=x, y=y, class_counts=np.bincount(y))
-
-
 class TestRetrieval:
     def test_duplicate_samples_give_recall_one(self):
         x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        report = tm.retrieval_eval(identity_model(2), labelled(x, np.array([0, 0, 1, 1])),
+        report = tm.retrieval_eval(identity_model(2), dm.Dataset(x, np.array([0, 0, 1, 1])),
                                    ks=(1, 2))
         assert report.recall_at[1] == 1.0
         assert report.skipped_queries == 0
@@ -340,7 +353,7 @@ class TestRetrieval:
         rng = Rng(61)
         x = rng.normals(1000, 8)
         y = np.arange(1000) % 2
-        report = tm.retrieval_eval(identity_model(8), labelled(x, y), ks=(1,))
+        report = tm.retrieval_eval(identity_model(8), dm.Dataset(x, y), ks=(1,))
         assert abs(report.recall_at[1] - 0.5) <= 0.05
 
     def test_monotone_in_k(self):
@@ -352,7 +365,7 @@ class TestRetrieval:
 
     def test_singleton_class_skipped_and_counted(self):
         x = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]])
-        report = tm.retrieval_eval(identity_model(2), labelled(x, np.array([0, 0, 1])),
+        report = tm.retrieval_eval(identity_model(2), dm.Dataset(x, np.array([0, 0, 1])),
                                    ks=(1, 2))
         assert report.skipped_queries == 1
         assert report.num_queries == 2
@@ -371,7 +384,7 @@ class TestRetrieval:
         y[[3, 350, 699]] = [40, 41, 42]  # singleton classes
         y = np.unique(y, return_inverse=True)[1]
         ks = (1, 2, 3, 5, 8, 20, 64, 200)
-        report = tm.retrieval_eval(identity_model(dim), labelled(x, y), ks=ks)
+        report = tm.retrieval_eval(identity_model(dim), dm.Dataset(x, y), ks=ks)
 
         sim = x @ x.T
         np.fill_diagonal(sim, -np.inf)
@@ -387,7 +400,7 @@ class TestRetrieval:
         rng = Rng(66)
         x = rng.normals(2000, 16)
         y = np.arange(2000) % 50
-        model, ds = identity_model(16), labelled(x, y)
+        model, ds = identity_model(16), dm.Dataset(x, y)
         tracemalloc.start()
         try:
             tm.retrieval_eval(model, ds)
@@ -400,13 +413,13 @@ class TestRetrieval:
     def test_recall_depth_below_one_rejected(self, ks):
         x = np.eye(4)
         with pytest.raises(DomainError):
-            tm.retrieval_eval(identity_model(4), labelled(x, np.array([0, 0, 1, 1])), ks=ks)
+            tm.retrieval_eval(identity_model(4), dm.Dataset(x, np.array([0, 0, 1, 1])), ks=ks)
 
     def test_non_finite_embedding_rejected(self):
         x = np.eye(4)
         x[2, 1] = np.nan
         with pytest.raises(NumericError):
-            tm.retrieval_eval(identity_model(4), labelled(x, np.array([0, 0, 1, 1])), ks=(1,))
+            tm.retrieval_eval(identity_model(4), dm.Dataset(x, np.array([0, 0, 1, 1])), ks=(1,))
 
 
 class TestCorrelationExport:
