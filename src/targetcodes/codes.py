@@ -140,12 +140,17 @@ def activate(bank: CodeBank) -> Matrix:
 
     sign mode maps w >= 0 to +1 and w < 0 to -1 (sign(0) is +1 so the
     output is always exactly binary); tanh_scaled returns tanh(scale * w).
-    Hadamard banks return their stored +-1 rows unchanged.
+    Hadamard banks return a read-only view of their stored +-1 rows.
     """
     if bank.kind == HADAMARD_FIXED:
-        return bank.weights.copy()
+        view = bank.weights.view()
+        view.flags.writeable = False
+        return view
     if bank.activation == SIGN:
-        return np.where(bank.weights >= 0.0, 1.0, -1.0)
+        s = (bank.weights >= 0.0).astype(np.float64)
+        s *= 2.0
+        s -= 1.0
+        return s
     return np.tanh(bank.tanh_scale * bank.weights)
 
 

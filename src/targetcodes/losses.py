@@ -130,13 +130,9 @@ def cross_entropy(logits, labels) -> tuple[float, Matrix]:
     return loss, grad / n
 
 
-def mse_codes(semantic, codes, labels) -> tuple[float, Matrix, Matrix]:
-    """Mean squared error between semantic codes and their class codewords.
-
-    Averaged over both samples and code positions. Returns the loss, the
-    gradient w.r.t. the semantic codes (N x L), and the gradient w.r.t. the
-    codeword matrix (K x L, zero rows for classes absent from the batch).
-    """
+def _mse(semantic, codes, labels) -> tuple[float, Matrix, Matrix, np.ndarray]:
+    """``mse_codes`` without the codeword gradient: the loss, the semantic
+    gradient, and the checked codewords and labels."""
     v = as_matrix(semantic)
     s = as_matrix(codes)
     if v.shape[1] != s.shape[1]:
@@ -150,6 +146,17 @@ def mse_codes(semantic, codes, labels) -> tuple[float, Matrix, Matrix]:
     diff = v - s[y]
     loss = float((diff * diff).sum() / (n * length))
     grad_v = (2.0 / (n * length)) * diff
+    return loss, grad_v, s, y
+
+
+def mse_codes(semantic, codes, labels) -> tuple[float, Matrix, Matrix]:
+    """Mean squared error between semantic codes and their class codewords.
+
+    Averaged over both samples and code positions. Returns the loss, the
+    gradient w.r.t. the semantic codes (N x L), and the gradient w.r.t. the
+    codeword matrix (K x L, zero rows for classes absent from the batch).
+    """
+    loss, grad_v, s, y = _mse(semantic, codes, labels)
     grad_s = np.zeros_like(s)
     np.add.at(grad_s, y, -grad_v)
     return loss, grad_v, grad_s
@@ -228,13 +235,14 @@ def compose_objective(mode: str, hp: Hyperparams, logits, semantic, codes, label
     ce_loss, grad_logits = cross_entropy(logits, labels)
     if mode == BASELINE:
         return LossBundle(ce_loss, ce_loss, 0.0, 0.0, 0.0, grad_logits)
-    mse_loss, mse_gv, mse_gs = mse_codes(semantic, codes, labels)
-    if mode == HTC:
+    if mode == HTC:  # fixed codes take no gradient, so skip building it
+        mse_loss, mse_gv, _, _ = _mse(semantic, codes, labels)
         total = ce_loss + hp.mse_weight * mse_loss
         return LossBundle(
             total, ce_loss, mse_loss, 0.0, 0.0, grad_logits,
             grad_semantic=hp.mse_weight * mse_gv,
         )
+    mse_loss, mse_gv, mse_gs = mse_codes(semantic, codes, labels)
     tri_loss, tri_gv, tri_gs = triplet_global(semantic, codes, labels, hp.margin)
     corr_loss, corr_gs = corr_consistency(codes)
     total = (

@@ -83,12 +83,14 @@ class ForwardCache:
 
 
 def _layer_forward(layer: DenseLayer, x: Matrix) -> Matrix:
-    pre = x @ layer.weight + layer.bias
+    # bias and activation run in place on the product: same ufuncs, same bits
+    out = x @ layer.weight
+    out += layer.bias
     if layer.activation == RELU:
-        return np.maximum(pre, 0.0)
-    if layer.activation == TANH:
-        return np.tanh(pre)
-    return pre
+        np.maximum(out, 0.0, out=out)
+    elif layer.activation == TANH:
+        np.tanh(out, out=out)
+    return out
 
 
 def _layer_backward(
@@ -396,7 +398,8 @@ def save_checkpoint(path, state: CheckpointState) -> None:
         parts.append(struct.pack("<B", 1))
         parts.append(codes_mod.pack_bank(state.bank))
     with atomic_open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        for part in parts:  # no joined copy of the whole file
+            fh.write(part)
 
 
 def load_checkpoint(path) -> CheckpointState:

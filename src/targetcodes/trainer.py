@@ -266,12 +266,23 @@ _OPTIMIZER_FIELDS = (
 )
 
 
+# Settings a resume may change: how long to train, and where the files are.
+_RESUMABLE_KEYS = {"epochs", "checkpoint_every", "out_dir", "train_data", "test_data"}
+
+
+def _settings(config: TrainConfig) -> dict[str, str]:
+    """``key -> formatted value`` for every set key of ``config``."""
+    return dict(line.split(" = ", 1) for line in format_config(config).splitlines())
+
+
 def _check_resume_state(
-    state: net_mod.CheckpointState, config: TrainConfig, input_dim: int
+    state: net_mod.CheckpointState, config: TrainConfig, input_dim: int, resume_from: str
 ) -> None:
     """Refuse ``state`` unless ``config`` would continue the same run: same
     mode, seed, optimizer settings, layers and code bank, with epochs left
-    to train."""
+    to train. When a ``resolved.cfg`` sits beside the checkpoint ``resume_from``,
+    every setting it records must also match, except those in
+    ``_RESUMABLE_KEYS``."""
     hp = config.hp
     if state.mode != config.mode:
         raise ConfigError(
@@ -311,6 +322,21 @@ def _check_resume_state(
         want += (config.activation, hp.tanh_scale)
     if got != want:
         raise ConfigError(f"checkpoint code bank {got} does not match config {want}")
+    cfg_path = os.path.join(os.path.dirname(resume_from), "resolved.cfg")
+    if not os.path.exists(cfg_path):
+        return
+    try:
+        recorded = _settings(build_config(parse_config_file(cfg_path)))
+    except (TypeError, ValueError) as exc:  # a missing key, undecodable bytes
+        raise FormatError(f"{cfg_path}: not a readable run config: {exc}") from None
+    wanted = _settings(config)
+    changed = [
+        f"{key} {recorded.get(key)} -> {wanted.get(key)}"
+        for key in _CONFIG_KEYS
+        if key not in _RESUMABLE_KEYS and recorded.get(key) != wanted.get(key)
+    ]
+    if changed:
+        raise ConfigError(f"resume changes settings recorded in {cfg_path}: {', '.join(changed)}")
 
 
 def _save_state(path, config, epoch, model, optimizer, bank) -> str:
@@ -386,7 +412,7 @@ def train(
     start_epoch = 0
     if resume_from is not None:
         state = net_mod.load_checkpoint(resume_from)
-        _check_resume_state(state, config, input_dim)
+        _check_resume_state(state, config, input_dim, resume_from)
         model, optimizer, bank = state.model, state.optimizer, state.bank
         start_epoch = state.epoch
     else:
@@ -517,19 +543,39 @@ def train(
     return result
 
 
+def _first_hit_rank(scores: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """Per row, the 0-based position of the first hit in a ranking of the
+    columns by descending score, ties broken by lower column index, with no
+    sort: the candidates scored above the row's best hit, plus those tied
+    with it at a lower column. A row without a hit ranks at the column
+    count. Scores must not be NaN.
+    """
+    best = np.max(scores, axis=1, where=hits, initial=-np.inf, keepdims=True)
+    at_best = scores == best
+    first = np.argmax(hits & at_best, axis=1)
+    rank = np.count_nonzero(scores > best, axis=1) + np.count_nonzero(
+        at_best & (np.arange(scores.shape[1]) < first[:, None]), axis=1
+    )
+    rank[~hits.any(axis=1)] = scores.shape[1]
+    return rank
+
+
 def evaluate(model: net_mod.ModelParams, ds: data_mod.Dataset) -> tuple[float, float]:
     """Top-1 and top-k accuracy using only the trunk and the classifier.
 
-    k is min(5, K). Ties rank the lower class index first. The semantic
-    encoder and the code bank play no part at inference time.
+    k is min(5, K). Ties rank the lower class index first. A sample's rank
+    is counted, not sorted: the classes with a higher logit than its own,
+    plus those tied with it at a lower index. A NaN logit raises
+    NumericError. The semantic encoder and the code bank play no part at
+    inference time.
     """
-    _, logits, _, _ = net_mod.forward(model, ds.X, semantic=False)
+    # indexing drops the forward cache, and every layer output in it, at once
+    logits = net_mod.forward(model, ds.X, semantic=False)[1]
+    if np.isnan(logits).any():
+        raise NumericError("NaN logit in evaluation")
     k = logits.shape[1]
-    order = np.argsort(-logits, axis=1, kind="stable")
-    top1 = float((order[:, 0] == ds.y).mean())
-    kk = min(5, k)
-    topk = float((order[:, :kk] == ds.y[:, None]).any(axis=1).mean())
-    return top1, topk
+    rank = _first_hit_rank(logits, ds.y[:, None] == np.arange(k))
+    return float((rank == 0).mean()), float((rank < min(5, k)).mean())
 
 
 def retrieval_eval(
@@ -545,37 +591,30 @@ def retrieval_eval(
 
     Queries run in blocks of 256 rows, so memory is O(256·N) for N samples:
     no N x N similarity matrix or sort is built. A query's rank is the
-    position of its first same-class candidate in the ranking, which is
-    the number of candidates more similar than the best same-class one,
-    plus those as similar with a lower index.
+    position of its first same-class candidate in the ranking, counted by
+    ``_first_hit_rank``.
     """
     n = ds.num_samples
     if not ks or min(ks) < 1:
         raise DomainError(f"recall depths must be at least 1, got {tuple(ks)}")
     if max(ks) >= n:
         raise DomainError(f"recall depth {max(ks)} needs more than {max(ks)} samples")
-    z, _, _, _ = net_mod.forward(model, ds.X, semantic=False)
+    z = net_mod.forward(model, ds.X, semantic=False)[0]  # frees the cache, as in evaluate
     if not np.isfinite(z).all():
         raise NumericError("non-finite embedding in retrieval")
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     z = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0)
     y = ds.y
     valid = np.bincount(y)[y] >= 2
-    cols = np.arange(n)
     rank = np.empty(n, dtype=np.int64)
     for r0 in range(0, n, _RETRIEVAL_BLOCK_ROWS):
         r1 = min(r0 + _RETRIEVAL_BLOCK_ROWS, n)
-        diag = (np.arange(r1 - r0), cols[r0:r1])
+        diag = (np.arange(r1 - r0), np.arange(r0, r1))
         sim = z[r0:r1] @ z.T
         sim[diag] = -np.inf
         same = y[r0:r1, None] == y[None, :]
         same[diag] = False
-        best = np.max(sim, axis=1, where=same, initial=-np.inf, keepdims=True)
-        at_best = sim == best
-        first = np.argmax(same & at_best, axis=1)
-        rank[r0:r1] = np.count_nonzero(sim > best, axis=1) + np.count_nonzero(
-            at_best & (cols < first[:, None]), axis=1
-        )
+        rank[r0:r1] = _first_hit_rank(sim, same)
     n_valid = int(valid.sum())
     recall = {
         int(k): float((rank[valid] < k).mean()) if n_valid else 0.0 for k in sorted(ks)

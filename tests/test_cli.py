@@ -358,6 +358,47 @@ class TestTrain:
         assert "checkpoint code bank" in capsys.readouterr().err
         assert self.snapshot(run_dir) == before
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", "8"), ("ste_rule", "passthrough"), ("margin", "2"),
+        ("mse_weight", "0.5"), ("eval_every", "2"),
+    ])
+    def test_resume_refuses_settings_the_checkpoint_does_not_store(
+        self, tmp_path, blob_csvs, capsys, key, value
+    ):
+        train, test = blob_csvs
+        base = self.train_args(tmp_path, train, test, "--mode", "ltc",
+                               "--set", "checkpoint_every=2")
+        assert run_cli(*base) == 0
+        run_dir = tmp_path / "run"
+        ckpt = str(run_dir / "ckpt_epoch2.ltck")
+        before = self.snapshot(run_dir)
+        capsys.readouterr()
+        assert run_cli(*base, "--set", f"{key}={value}", "--resume", ckpt) == 2
+        err = capsys.readouterr().err
+        assert f"resume changes settings recorded in {run_dir / 'resolved.cfg'}: {key} " in err
+        assert self.snapshot(run_dir) == before
+        # more epochs, or no resolved.cfg beside the checkpoint, is still a resume
+        assert run_cli(*base, "--set", "epochs=5", "--resume", ckpt) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "ckpt.ltck").write_bytes((run_dir / "ckpt_epoch2.ltck").read_bytes())
+        assert run_cli(*base, "--set", f"{key}={value}",
+                       "--resume", str(elsewhere / "ckpt.ltck")) == 0
+
+    @pytest.mark.parametrize("text", [b"mode ltc\n", b"seed = 5\n", b"mode = \xff\n"])
+    def test_malformed_resolved_cfg_refuses_resume(self, tmp_path, blob_csvs, capsys, text):
+        train, test = blob_csvs
+        base = self.train_args(tmp_path, train, test, "--mode", "ltc",
+                               "--set", "checkpoint_every=2")
+        assert run_cli(*base) == 0
+        run_dir = tmp_path / "run"
+        (run_dir / "resolved.cfg").write_bytes(text)
+        before = self.snapshot(run_dir)
+        capsys.readouterr()
+        assert run_cli(*base, "--resume", str(run_dir / "ckpt_epoch2.ltck")) == 2
+        assert f"{run_dir / 'resolved.cfg'}" in capsys.readouterr().err
+        assert self.snapshot(run_dir) == before
+
     def test_malformed_metrics_file_refuses_resume(self, tmp_path, blob_csvs, capsys):
         train, test = blob_csvs
         base = self.train_args(tmp_path, train, test, "--mode", "ltc",

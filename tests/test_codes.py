@@ -129,6 +129,22 @@ class TestActivate:
         bank = select_hadamard_codes(8, 5, Rng(2))
         assert np.array_equal(activate(bank), bank.weights)
 
+    def test_hadamard_result_is_read_only(self):
+        bank = select_hadamard_codes(8, 5, Rng(2))
+        before = bank.weights.copy()
+        s = activate(bank)
+        with pytest.raises(ValueError):
+            s[0, 0] = 7.0
+        assert bank.weights.tobytes() == before.tobytes()
+
+    def test_sign_matches_where_reference_with_signed_zeros(self):
+        w = Rng(12).normals(5, 9)
+        w[0, :3] = 0.0
+        w[1, :3] = -0.0
+        s = activate(CodeBank("learnable", w))
+        assert s.tobytes() == np.where(w >= 0.0, 1.0, -1.0).tobytes()
+        assert (s[:2, :3] == 1.0).all()
+
     def test_idempotent_on_binary_input(self):
         bank = init_learnable_codes(4, 16, Rng(11))
         s = activate(bank)

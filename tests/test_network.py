@@ -1,6 +1,7 @@
 """Forward/backward correctness, the grouped optimizer, and checkpoint I/O."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from targetcodes.errors import (
 )
 from targetcodes.losses import Hyperparams
 from targetcodes.network import (
+    _layer_forward,
     GROUP_CODES,
     GROUP_FEATURE,
     GROUP_NEW,
@@ -83,6 +85,16 @@ class TestForward:
     def test_input_dim_mismatch(self):
         with pytest.raises(DimensionError):
             forward(toy_model(), np.zeros((2, 9)))
+
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "none"])
+    def test_layer_forward_bits_match_the_out_of_place_formula(self, activation):
+        rng = Rng(8)
+        layer = DenseLayer(rng.normals(12, 7), rng.normals(1, 7), activation)
+        x = rng.normals(9, 12)
+        pre = x @ layer.weight + layer.bias
+        want = {"relu": np.maximum(pre, 0.0), "tanh": np.tanh(pre), "none": pre}[activation]
+        assert _layer_forward(layer, x).tobytes() == want.tobytes()
 
 
 class TestBackward:
@@ -311,6 +323,20 @@ class TestCheckpoint:
         save_checkpoint(p1, state)
         save_checkpoint(p2, state)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_holds_one_copy_of_the_bytes(self, tmp_path):
+        state = self.build_state(
+            input_dim=128, widths=(256, 128), classes=100, hidden=256, length=512
+        )
+        path = tmp_path / "big.ltck"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the packed parts are one copy of the file; joining them made a second
+        assert peak < 1.5 * path.stat().st_size
 
     def test_corrupted_magic(self, tmp_path):
         state = self.build_state()

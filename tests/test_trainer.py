@@ -328,6 +328,73 @@ class TestEvaluate:
         assert tm.evaluate(stripped, test_ds) == before
 
 
+def classifier_model(weight):
+    """A model whose logits are its input times ``weight``: no feature layer."""
+    return nm.ModelParams(
+        feature=[],
+        classifier=nm.DenseLayer(weight, np.zeros((1, weight.shape[1])), "none"),
+        encoder=[
+            nm.DenseLayer(np.zeros((weight.shape[0], 2)), np.zeros((1, 2)), "relu"),
+            nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "relu"),
+            nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "tanh"),
+        ],
+    )
+
+
+class TestEvaluateRanking:
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_exact_ties_match_dense_stable_argsort(self, k):
+        # Logits are 0, 10 or +-inf: one-hot and all-zero rows tie exactly,
+        # and inputs of +-1e308 overflow to +-inf through the weight 10 * I.
+        n = 600
+        rng = Rng(67 + k)
+        hot = np.array([rng.below(k + 1) for _ in range(n)])  # k: an all-zero row
+        x = np.zeros((n, k))
+        rows = np.flatnonzero(hot < k)
+        x[rows, hot[rows]] = 1.0
+        for row in range(0, n, 3):
+            x[row, rng.below(k)] = (1e308, -1e308)[rng.below(2)]
+            if row % 2:
+                x[row, rng.below(k)] = (1e308, -1e308)[rng.below(2)]
+        y = np.array([rng.below(k) for _ in range(n)])
+        y[::7] = k  # a class the classifier lacks: never a hit
+        model = classifier_model(10.0 * np.eye(k))
+        with np.errstate(over="ignore"):
+            _, logits, _, _ = nm.forward(model, x, semantic=False)
+            got = tm.evaluate(model, dm.Dataset(x, y))
+        assert set(np.unique(logits)) == {-np.inf, 0.0, 10.0, np.inf}
+
+        order = np.argsort(-logits, axis=1, kind="stable")
+        dense = (
+            float((order[:, 0] == y).mean()),
+            float((order[:, :min(5, k)] == y[:, None]).any(axis=1).mean()),
+        )
+        assert got == dense
+        assert 0.0 < dense[0] < dense[1]  # the cases tell the ranks apart
+
+    def test_nan_logit_rejected(self):
+        weight = np.eye(3)
+        weight[1, 2] = np.nan
+        x = np.eye(3)
+        with pytest.raises(NumericError):
+            tm.evaluate(classifier_model(weight), dm.Dataset(x, np.array([0, 1, 2])))
+
+
+# forward holds its three layer outputs, 11.5 MB, at once; after it, only
+# the logits or the embeddings and one block of similarities need to live
+@pytest.mark.parametrize("fn, limit_mb", [("evaluate", 13), ("retrieval_eval", 20)])
+def test_memory_at_paper_dims(fn, limit_mb):
+    model = nm.init_model(128, (256, 128), 100, 256, 512, Rng(68))
+    ds = dm.Dataset(Rng(69).normals(3000, 128), np.arange(3000) % 100)
+    tracemalloc.start()
+    try:
+        getattr(tm, fn)(model, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
+
+
 def identity_model(dim):
     """A model whose trunk embedding is its input: one identity "none" layer."""
     return nm.ModelParams(
