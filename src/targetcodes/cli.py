@@ -167,10 +167,13 @@ def cmd_gradcheck(args) -> int:
 def cmd_eval(args) -> int:
     state = net_mod.load_checkpoint(args.checkpoint)
     ds = data_mod.load_csv(args.data)
-    top1, top5 = trainer_mod.evaluate(state.model, ds)
+    # one forward for both scores: trainer.evaluate and trainer.retrieval_eval
+    # would each run their own
+    z, logits = net_mod.forward(state.model, ds.X, semantic=False)[:2]
+    top1, top5 = trainer_mod._top_k(logits, ds.y)
     print(f"top1 {top1:.4f} top5 {top5:.4f}")
     if args.retrieval:
-        report = trainer_mod.retrieval_eval(state.model, ds)
+        report = trainer_mod._recall_at(z, ds.y)
         for k in sorted(report.recall_at):
             print(f"recall@{k} {report.recall_at[k]:.4f}")
         if report.skipped_queries:

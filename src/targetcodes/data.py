@@ -149,15 +149,6 @@ def split_per_class(ds: Dataset, test_per_class: int) -> tuple[Dataset, Dataset]
     return subset(train_idx), subset(test_idx)
 
 
-def select_classes(ds: Dataset, classes) -> Dataset:
-    """Restrict to the given class ids and relabel them 0..len-1."""
-    classes = list(classes)
-    remap = {int(c): i for i, c in enumerate(classes)}
-    mask = np.isin(ds.y, classes)
-    y = np.array([remap[int(c)] for c in ds.y[mask]], dtype=np.intp)
-    return Dataset(X=ds.X[mask].copy(), y=y)
-
-
 def save_csv(ds: Dataset, path) -> None:
     """Write `label,f0,...,fD-1` rows ending in CRLF; floats use %.17g so
     values round-trip bit-exactly."""

@@ -133,6 +133,16 @@ def layer_specs(
     return specs
 
 
+def model_dims(model: ModelParams) -> tuple[int, tuple[int, ...], int, int, int]:
+    """``(input_dim, feature_widths, num_classes, encoder_hidden,
+    code_length)`` read from ``model``'s weight shapes: the arguments of
+    :func:`layer_specs` for a model that it lays out."""
+    shapes = [l.weight.shape for l in model.all_layers()]
+    n = len(model.feature)
+    hidden = shapes[n + 1][1] if model.encoder else 0
+    return shapes[0][0], tuple(w for _, w in shapes[:n]), shapes[n][1], hidden, shapes[-1][1]
+
+
 def init_model(
     input_dim: int,
     feature_widths: tuple[int, ...],
@@ -435,6 +445,10 @@ def load_checkpoint(path) -> CheckpointState:
         raise FormatError("checkpoint must contain exactly one classifier layer")
     encoder = read_layers()
     model = ModelParams(feature=feature, classifier=classifier_layers[0], encoder=encoder)
+    layers = model.all_layers()
+    got = [(*l.weight.shape, l.activation) for l in layers]
+    if got != layer_specs(*model_dims(model)):
+        raise FormatError(f"checkpoint layers {got} do not chain into one model")
     momentum, weight_decay, lr_f, lr_n, lr_c, decay_codes = rd.unpack("<ddddd?")
     n_decay, decay_factor = rd.unpack("<Id")
     decay_epochs = tuple(rd.unpack("<I")[0] for _ in range(n_decay))
@@ -447,8 +461,14 @@ def load_checkpoint(path) -> CheckpointState:
         decay_epochs=decay_epochs,
         decay_factor=decay_factor,
         decay_codes=decay_codes,
-        bufs=[(rd.matrix(), rd.matrix()) for _ in model.all_layers()],
+        bufs=[(rd.matrix(), rd.matrix()) for _ in layers],
     )
+    for i, (layer, (bw, bb)) in enumerate(zip(layers, opt.bufs)):
+        if (bw.shape, bb.shape) != (layer.weight.shape, layer.bias.shape):
+            raise FormatError(
+                f"checkpoint momentum buffers {bw.shape}, {bb.shape} of layer {i} do not "
+                f"match its weight {layer.weight.shape} and bias {layer.bias.shape}"
+            )
     (has_bank,) = rd.unpack("<B")
     bank = codes_mod.read_bank(rd) if has_bank else None
     rd.finish()

@@ -43,6 +43,7 @@ STREAM_BATCHES = 3
 # Query rows per block in retrieval_eval: each block holds a few 256 x N
 # arrays, so memory grows linearly in N.
 _RETRIEVAL_BLOCK_ROWS = 256
+_RECALL_DEPTHS = (1, 2, 4, 8)
 
 METRIC_KEYS = ("epoch", "ce", "mse", "triplet", "corr", "total", "top1", "top5", "code_corr")
 
@@ -259,84 +260,79 @@ def _init_bank(config: TrainConfig, num_classes: int) -> codes_mod.CodeBank:
     )
 
 
-# Optimizer settings an LTCK checkpoint stores; a resume must not change them.
-_OPTIMIZER_FIELDS = (
-    "momentum", "weight_decay", "lr_feature", "lr_new", "lr_codes",
-    "decay_epochs", "decay_factor", "decay_codes",
-)
-
-
 # Settings a resume may change: how long to train, and where the files are.
 _RESUMABLE_KEYS = {"epochs", "checkpoint_every", "out_dir", "train_data", "test_data"}
 
 
 def _settings(config: TrainConfig) -> dict[str, str]:
-    """``key -> formatted value`` for every set key of ``config``."""
-    return dict(line.split(" = ", 1) for line in format_config(config).splitlines())
+    """``key -> formatted value`` for every set key of ``config``, parsed
+    once first, so an int given for a float key reads as that float."""
+    settings = dict(line.split(" = ", 1) for line in format_config(config).splitlines())
+    return {key: _CONFIG_KEYS[key][1](parse_setting(key, v)) for key, v in settings.items()}
+
+
+def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict[str, str]:
+    """``key -> formatted value`` of the run that wrote ``resume_from``: a
+    ``resolved.cfg`` beside it, if any, overlaid with what the LTCK file
+    stores (mode, seed, optimizer settings, the bank's K x L and, when
+    learnable, its activation and tanh scale)."""
+    recorded = {}
+    cfg_path = os.path.join(os.path.dirname(resume_from), "resolved.cfg")
+    if os.path.exists(cfg_path):
+        try:
+            recorded = _settings(build_config(parse_config_file(cfg_path)))
+        except (TypeError, ValueError) as exc:  # a missing key, undecodable bytes
+            raise FormatError(f"{cfg_path}: not a readable run config: {exc}") from None
+    opt, bank = state.optimizer, state.bank
+    # every Optimizer field but the momentum buffers is a config key
+    stored = {f.name: getattr(opt, f.name) for f in fields(opt) if f.name != "bufs"}
+    stored.update(mode=state.mode, seed=state.seed)
+    stored["num_classes"], stored["code_length"] = bank.weights.shape
+    if bank.kind == codes_mod.LEARNABLE:
+        stored.update(activation=bank.activation, tanh_scale=bank.tanh_scale)
+    recorded.update((key, _CONFIG_KEYS[key][1](value)) for key, value in stored.items())
+    return recorded
 
 
 def _check_resume_state(
     state: net_mod.CheckpointState, config: TrainConfig, input_dim: int, resume_from: str
 ) -> None:
-    """Refuse ``state`` unless ``config`` would continue the same run: same
-    mode, seed, optimizer settings, layers and code bank, with epochs left
-    to train. When a ``resolved.cfg`` sits beside the checkpoint ``resume_from``,
-    every setting it records must also match, except those in
-    ``_RESUMABLE_KEYS``."""
+    """Refuse ``state`` unless ``config`` would continue the same run: a code
+    bank of the kind its mode uses, the same layers, every setting of
+    :func:`_recorded_settings` outside ``_RESUMABLE_KEYS`` unchanged, and
+    epochs left to train."""
     hp = config.hp
-    if state.mode != config.mode:
-        raise ConfigError(
-            f"checkpoint was written in mode {state.mode!r}, config says {config.mode!r}"
-        )
-    if state.seed != hp.seed:
-        raise ConfigError(
-            f"checkpoint seed {state.seed} does not match config seed {hp.seed}"
-        )
-    for name in _OPTIMIZER_FIELDS:
-        got = getattr(state.optimizer, name)
-        want = config.decay_codes if name == "decay_codes" else getattr(hp, name)
-        if got != want:
-            raise ConfigError(f"checkpoint {name} {got!r} does not match config {name} {want!r}")
-    got = [(*l.weight.shape, l.activation) for l in state.model.all_layers()]
-    want = net_mod.layer_specs(
-        input_dim, config.feature_widths, hp.num_classes, config.encoder_hidden, hp.code_length
+    bank = state.bank
+    if bank is None:
+        raise ConfigError("checkpoint is missing the code bank")
+    if (bank.kind == codes_mod.HADAMARD_FIXED) != (state.mode == HTC):
+        raise ConfigError(f"checkpoint code bank is {bank.kind} in mode {state.mode!r}")
+    names = ("input_dim", "feature_widths", "num_classes", "encoder_hidden", "code_length")
+    want = (
+        input_dim, tuple(config.feature_widths), hp.num_classes, config.encoder_hidden,
+        hp.code_length,
     )
-    if got != want:
-        raise DimensionError(f"checkpoint layers {got} do not match config {want}")
+    changed = [
+        f"{key} {old} -> {new}"
+        for key, old, new in zip(names, net_mod.model_dims(state.model), want) if old != new
+    ]
+    if changed:
+        raise DimensionError(f"checkpoint layers do not match config: {', '.join(changed)}")
+    wanted = _settings(config)
+    changed = [
+        f"{key} {old} -> {wanted[key]}"
+        for key, old in _recorded_settings(state, resume_from).items()
+        if key not in _RESUMABLE_KEYS and old != wanted[key]
+    ]
+    if changed:
+        raise ConfigError(
+            f"resume changes settings recorded by {resume_from}: {', '.join(changed)}"
+        )
     if state.epoch >= hp.epochs:
         raise ConfigError(
             f"checkpoint is at epoch {state.epoch}, so none of the {hp.epochs} "
             "configured epochs is left to train"
         )
-    bank = state.bank
-    if bank is None:
-        raise ConfigError("checkpoint is missing the code bank")
-    # the bank a fresh run of this config builds, see _init_bank
-    got = (bank.kind, bank.weights.shape)
-    want = (
-        codes_mod.HADAMARD_FIXED if config.mode == HTC else codes_mod.LEARNABLE,
-        (hp.num_classes, hp.code_length),
-    )
-    if bank.kind == codes_mod.LEARNABLE:
-        got += (bank.activation, bank.tanh_scale)
-        want += (config.activation, hp.tanh_scale)
-    if got != want:
-        raise ConfigError(f"checkpoint code bank {got} does not match config {want}")
-    cfg_path = os.path.join(os.path.dirname(resume_from), "resolved.cfg")
-    if not os.path.exists(cfg_path):
-        return
-    try:
-        recorded = _settings(build_config(parse_config_file(cfg_path)))
-    except (TypeError, ValueError) as exc:  # a missing key, undecodable bytes
-        raise FormatError(f"{cfg_path}: not a readable run config: {exc}") from None
-    wanted = _settings(config)
-    changed = [
-        f"{key} {recorded.get(key)} -> {wanted.get(key)}"
-        for key in _CONFIG_KEYS
-        if key not in _RESUMABLE_KEYS and recorded.get(key) != wanted.get(key)
-    ]
-    if changed:
-        raise ConfigError(f"resume changes settings recorded in {cfg_path}: {', '.join(changed)}")
 
 
 def _save_state(path, config, epoch, model, optimizer, bank) -> str:
@@ -547,8 +543,8 @@ def _first_hit_rank(scores: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """Per row, the 0-based position of the first hit in a ranking of the
     columns by descending score, ties broken by lower column index, with no
     sort: the candidates scored above the row's best hit, plus those tied
-    with it at a lower column. A row without a hit ranks at the column
-    count. Scores must not be NaN.
+    with it at a lower column. Rows without a hit get no meaningful rank,
+    so callers leave them out. Scores must not be NaN.
     """
     best = np.max(scores, axis=1, where=hits, initial=-np.inf, keepdims=True)
     at_best = scores == best
@@ -556,8 +552,18 @@ def _first_hit_rank(scores: np.ndarray, hits: np.ndarray) -> np.ndarray:
     rank = np.count_nonzero(scores > best, axis=1) + np.count_nonzero(
         at_best & (np.arange(scores.shape[1]) < first[:, None]), axis=1
     )
-    rank[~hits.any(axis=1)] = scores.shape[1]
     return rank
+
+
+def _top_k(logits: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    # evaluate's scoring, apart from its forward pass
+    k = logits.shape[1]
+    if y.max() >= k:
+        raise DomainError(f"labels reach {int(y.max())}, but the model has {k} classes")
+    if np.isnan(logits).any():
+        raise NumericError("NaN logit in evaluation")
+    rank = _first_hit_rank(logits, y[:, None] == np.arange(k))
+    return float((rank == 0).mean()), float((rank < min(5, k)).mean())
 
 
 def evaluate(model: net_mod.ModelParams, ds: data_mod.Dataset) -> tuple[float, float]:
@@ -565,46 +571,25 @@ def evaluate(model: net_mod.ModelParams, ds: data_mod.Dataset) -> tuple[float, f
 
     k is min(5, K). Ties rank the lower class index first. A sample's rank
     is counted, not sorted: the classes with a higher logit than its own,
-    plus those tied with it at a lower index. A NaN logit raises
-    NumericError. The semantic encoder and the code bank play no part at
-    inference time.
+    plus those tied with it at a lower index. A label of at least K raises
+    DomainError and a NaN logit NumericError. The semantic encoder and the
+    code bank play no part at inference time.
     """
     # indexing drops the forward cache, and every layer output in it, at once
-    logits = net_mod.forward(model, ds.X, semantic=False)[1]
-    if np.isnan(logits).any():
-        raise NumericError("NaN logit in evaluation")
-    k = logits.shape[1]
-    rank = _first_hit_rank(logits, ds.y[:, None] == np.arange(k))
-    return float((rank == 0).mean()), float((rank < min(5, k)).mean())
+    return _top_k(net_mod.forward(model, ds.X, semantic=False)[1], ds.y)
 
 
-def retrieval_eval(
-    model: net_mod.ModelParams, ds: data_mod.Dataset, ks: tuple[int, ...] = (1, 2, 4, 8)
-) -> RetrievalReport:
-    """Recall@K with L2-normalized trunk embeddings and cosine ranking.
-
-    Each sample queries all the others; a query counts as a hit at K when
-    any of its K nearest candidates shares its class. Candidates with equal
-    similarity rank the lower sample index first. Queries whose class has
-    no second sample are skipped and counted. Every K must be at least 1
-    and below the sample count; a non-finite embedding raises NumericError.
-
-    Queries run in blocks of 256 rows, so memory is O(256·N) for N samples:
-    no N x N similarity matrix or sort is built. A query's rank is the
-    position of its first same-class candidate in the ranking, counted by
-    ``_first_hit_rank``.
-    """
-    n = ds.num_samples
+def _recall_at(z: np.ndarray, y: np.ndarray, ks=_RECALL_DEPTHS) -> RetrievalReport:
+    # retrieval_eval's scoring of the trunk embeddings z, apart from its forward pass
+    n = len(y)
     if not ks or min(ks) < 1:
         raise DomainError(f"recall depths must be at least 1, got {tuple(ks)}")
     if max(ks) >= n:
         raise DomainError(f"recall depth {max(ks)} needs more than {max(ks)} samples")
-    z = net_mod.forward(model, ds.X, semantic=False)[0]  # frees the cache, as in evaluate
     if not np.isfinite(z).all():
         raise NumericError("non-finite embedding in retrieval")
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     z = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0)
-    y = ds.y
     valid = np.bincount(y)[y] >= 2
     rank = np.empty(n, dtype=np.int64)
     for r0 in range(0, n, _RETRIEVAL_BLOCK_ROWS):
@@ -624,6 +609,25 @@ def retrieval_eval(
     )
 
 
+def retrieval_eval(
+    model: net_mod.ModelParams, ds: data_mod.Dataset, ks: tuple[int, ...] = _RECALL_DEPTHS
+) -> RetrievalReport:
+    """Recall@K with L2-normalized trunk embeddings and cosine ranking.
+
+    Each sample queries all the others; a query counts as a hit at K when
+    any of its K nearest candidates shares its class. Candidates with equal
+    similarity rank the lower sample index first. Queries whose class has
+    no second sample are skipped and counted. Every K must be at least 1
+    and below the sample count; a non-finite embedding raises NumericError.
+
+    Queries run in blocks of 256 rows, so memory is O(256·N) for N samples:
+    no N x N similarity matrix or sort is built. A query's rank is the
+    position of its first same-class candidate in the ranking, counted by
+    ``_first_hit_rank``.
+    """
+    return _recall_at(net_mod.forward(model, ds.X, semantic=False)[0], ds.y, ks)
+
+
 def export_code_correlation(bank: codes_mod.CodeBank, path) -> None:
     """Write the K x K normalized codeword correlation matrix as CSV,
     six decimal places."""
@@ -638,19 +642,3 @@ def read_correlation_csv(path) -> np.ndarray:
     with open(path) as fh:
         rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
     return np.array(rows)
-
-
-def group_correlation_split(corr: np.ndarray, groups: np.ndarray) -> tuple[float, float]:
-    """Mean absolute off-diagonal correlation within vs. across superclass
-    groups. Returns (intra_mean, inter_mean)."""
-    k = corr.shape[0]
-    intra, inter = [], []
-    for a in range(k):
-        for b in range(k):
-            if a == b:
-                continue
-            (intra if groups[a] == groups[b] else inter).append(abs(corr[a, b]))
-    if not intra or not inter:
-        raise DomainError("need at least two groups with two classes each")
-    return float(np.mean(intra)), float(np.mean(inter))
-

@@ -8,6 +8,7 @@ everything is deterministic, so these results are stable across reruns.
 import time
 
 import numpy as np
+import pytest
 
 from targetcodes import codes as cm
 from targetcodes import data as dm
@@ -26,6 +27,41 @@ def report(criterion, ok, detail):
 
 
 # -- shared desk-scale builders -------------------------------------------------
+
+def select_classes(ds, classes):
+    """Restrict to the given class ids and relabel them 0..len-1."""
+    classes = list(classes)
+    remap = {int(c): i for i, c in enumerate(classes)}
+    mask = np.isin(ds.y, classes)
+    y = np.array([remap[int(c)] for c in ds.y[mask]], dtype=np.intp)
+    return dm.Dataset(X=ds.X[mask].copy(), y=y)
+
+
+def group_correlation_split(corr, groups):
+    """Mean absolute off-diagonal correlation within vs. across superclass
+    groups. Returns (intra_mean, inter_mean)."""
+    k = corr.shape[0]
+    intra, inter = [], []
+    for a in range(k):
+        for b in range(k):
+            if a == b:
+                continue
+            (intra if groups[a] == groups[b] else inter).append(abs(corr[a, b]))
+    assert intra and inter, "need at least two groups with two classes each"
+    return float(np.mean(intra)), float(np.mean(inter))
+
+
+def test_group_correlation_split():
+    corr = np.array([
+        [1.0, 0.8, 0.1, 0.2],
+        [0.8, 1.0, 0.3, 0.0],
+        [0.1, 0.3, 1.0, 0.6],
+        [0.2, 0.0, 0.6, 1.0],
+    ])
+    intra, inter = group_correlation_split(corr, np.array([0, 0, 1, 1]))
+    assert intra == pytest.approx((0.8 + 0.6) / 2)
+    assert inter == pytest.approx((0.1 + 0.2 + 0.3 + 0.0) / 4)
+
 
 def longtail_sets(seed):
     """2000-sample balanced training pool over 8 classes in 2 groups,
@@ -187,7 +223,7 @@ def test_c07_correlation_structure_emergence():
                                 encoder_hidden=32)
         result = tm.train(config, train, test)
         corr = cm.normalized_correlation(cm.activate(result.bank))
-        intra, inter = tm.group_correlation_split(corr, np.arange(8) // 4)
+        intra, inter = group_correlation_split(corr, np.arange(8) // 4)
         pairs.append((intra, inter))
         hits += intra > inter
     detail = " ".join(f"({a:.3f}>{b:.3f})" for a, b in pairs)
@@ -202,8 +238,8 @@ def test_c08_retrieval_sanity():
         ds = dm.make_blobs(8, 16, 8, 120, 1.0, 6.0, rng)
         noise = rng.normals(ds.num_samples, 16) * 6.0  # nuisance dims shared by all classes
         ds = dm.Dataset(X=np.hstack([ds.X, noise]), y=ds.y)
-        train_half = dm.select_classes(ds, range(4))
-        held_out = dm.select_classes(ds, range(4, 8))
+        train_half = select_classes(ds, range(4))
+        held_out = select_classes(ds, range(4, 8))
         for mode, scores in (("baseline", base_scores), ("ltc", ltc_scores)):
             hp = Hyperparams(
                 num_classes=4, code_length=32, epochs=40, batch_size=32,

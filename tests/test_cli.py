@@ -1,7 +1,10 @@
 """CLI subcommands, exit codes, and the config-file contract."""
 
 import json
+import re
+import shutil
 
+import numpy as np
 import pytest
 
 from targetcodes import cli, codes, network, trainer
@@ -277,7 +280,7 @@ class TestTrain:
         before = self.snapshot(run_dir)
         code = run_cli(*base, "--mode", "htc", "--resume", str(run_dir / "ckpt_epoch2.ltck"))
         assert code == 2
-        assert "checkpoint was written in mode 'ltc'" in capsys.readouterr().err
+        assert "mode ltc -> htc" in capsys.readouterr().err
         assert self.snapshot(run_dir) == before
         # an accepted resume still records its config
         code = run_cli(*base, "--mode", "ltc", "--set", "epochs=6",
@@ -316,25 +319,14 @@ class TestTrain:
         assert run_cli(*base, "--resume", str(tmp_path / "run" / "ckpt_epoch2.ltck")) == 0
         assert sorted(calls) == ["load_checkpoint", "validate_config"]
 
-    def test_resume_rejects_changed_optimizer_settings(self, tmp_path, blob_csvs, capsys):
-        train, test = blob_csvs
-        base = self.train_args(tmp_path, train, test, "--mode", "ltc",
-                               "--set", "checkpoint_every=2")
-        assert run_cli(*base) == 0
-        ckpt = str(tmp_path / "run" / "ckpt_epoch2.ltck")
-        capsys.readouterr()
-        changes = {
-            "momentum": "0.0", "weight_decay": "0.5", "lr_feature": "0.5",
-            "lr_new": "0.5", "lr_codes": "0.5", "decay_epochs": "1",
-            "decay_factor": "0.5", "decay_codes": "false",
-        }
-        for key, value in changes.items():
-            code = run_cli(*base, "--set", f"{key}={value}", "--resume", ckpt)
-            assert code == 2, key
-            assert f"checkpoint {key} " in capsys.readouterr().err
-
-    @pytest.mark.parametrize("case", ["tanh_activation", "short_bank", "hadamard_bank"])
-    def test_resume_refuses_a_different_code_bank(self, tmp_path, blob_csvs, capsys, case):
+    @pytest.mark.parametrize("case, message", [
+        ("tanh_activation", "activation sign -> tanh_scaled"),
+        ("short_bank", "code_length 8 -> 16"),
+        ("hadamard_bank", "checkpoint code bank is hadamard_fixed in mode 'ltc'"),
+    ], ids=["tanh_activation", "short_bank", "hadamard_bank"])
+    def test_resume_refuses_a_different_code_bank(
+        self, tmp_path, blob_csvs, capsys, case, message
+    ):
         train, test = blob_csvs
         base = self.train_args(tmp_path, train, test, "--mode", "ltc",
                                "--set", "checkpoint_every=2")
@@ -355,35 +347,77 @@ class TestTrain:
         before = self.snapshot(run_dir)
         capsys.readouterr()
         assert run_cli(*base, *extra, "--resume", str(ckpt)) == 2
-        assert "checkpoint code bank" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert self.snapshot(run_dir) == before
 
-    @pytest.mark.parametrize("key, value", [
-        ("batch_size", "8"), ("ste_rule", "passthrough"), ("margin", "2"),
-        ("mse_weight", "0.5"), ("eval_every", "2"),
-    ])
-    def test_resume_refuses_settings_the_checkpoint_does_not_store(
-        self, tmp_path, blob_csvs, capsys, key, value
-    ):
+    # a valid changed value for every config key a resume may not change
+    RESUME_CHANGES = {
+        "mode": "baseline", "num_classes": "5", "code_length": "32",
+        "mse_weight": "0.5", "triplet_weight": "0.5", "corr_weight": "0.5",
+        "margin": "2", "tanh_scale": "2", "lr_feature": "0.5", "lr_new": "0.5",
+        "lr_codes": "0.5", "momentum": "0.0", "weight_decay": "0.5", "batch_size": "8",
+        "decay_epochs": "1", "decay_factor": "0.5", "seed": "1", "feature_widths": "24,16",
+        "encoder_hidden": "8", "activation": "tanh_scaled", "ste_rule": "passthrough",
+        "decay_codes": "false", "eval_every": "2",
+    }
+    # what the LTCK file itself records: its settings, layers and bank
+    LTCK_KEYS = {
+        "mode", "seed", "momentum", "weight_decay", "lr_feature", "lr_new", "lr_codes",
+        "decay_epochs", "decay_factor", "decay_codes", "activation", "tanh_scale",
+        "num_classes", "code_length", "feature_widths", "encoder_hidden",
+    }
+
+    @pytest.mark.parametrize("key", sorted(set(trainer._CONFIG_KEYS) - trainer._RESUMABLE_KEYS))
+    def test_resume_refuses_a_changed_setting(self, tmp_path, blob_csvs, capsys, key):
+        train, test = blob_csvs
+        base = self.train_args(tmp_path, train, test, "--mode", "ltc",
+                               "--set", "checkpoint_every=2")
+        assert run_cli(*base) == 0
+        value = self.RESUME_CHANGES[key]
+        if key == "mode":
+            change = ["--mode", value]
+        elif key == "num_classes":  # takes other training data
+            five = tmp_path / "five.csv"
+            assert run_cli("make-data", "--kind", "blobs", "--classes", "5", "--dim", "8",
+                           "--groups", "1", "--per-class", "20", "--out", str(five)) == 0
+            change = ["--data", str(five)]
+        else:
+            change = ["--set", f"{key}={value}"]
+        run_dir = tmp_path / "run"
+        alone = tmp_path / "alone"  # the checkpoint without its resolved.cfg
+        alone.mkdir()
+        shutil.copy(run_dir / "ckpt_epoch2.ltck", alone / "ckpt.ltck")
+        before = self.snapshot(run_dir)
+        capsys.readouterr()
+        code = run_cli(*base, *change, "--resume", str(run_dir / "ckpt_epoch2.ltck"))
+        assert code == 2
+        assert re.search(rf"\b{key} .* -> ", capsys.readouterr().err)
+        assert self.snapshot(run_dir) == before
+        code = run_cli(*base, *change, "--out", str(tmp_path / "from_alone"),
+                       "--resume", str(alone / "ckpt.ltck"))
+        err = capsys.readouterr().err
+        if key in self.LTCK_KEYS:
+            assert code == 2
+            assert re.search(rf"\b{key} .* -> ", err)
+        else:  # the LTCK file does not record it, so nothing to compare against
+            assert code == 0
+
+    def test_resume_refuses_misshaped_momentum_buffers(self, tmp_path, blob_csvs, capsys):
         train, test = blob_csvs
         base = self.train_args(tmp_path, train, test, "--mode", "ltc",
                                "--set", "checkpoint_every=2")
         assert run_cli(*base) == 0
         run_dir = tmp_path / "run"
-        ckpt = str(run_dir / "ckpt_epoch2.ltck")
+        ckpt = run_dir / "ckpt_epoch2.ltck"
+        state = network.load_checkpoint(ckpt)
+        bw, bb = state.optimizer.bufs[1]
+        state.optimizer.bufs[1] = (bw[:, :-1], bb)
+        network.save_checkpoint(ckpt, state)
         before = self.snapshot(run_dir)
         capsys.readouterr()
-        assert run_cli(*base, "--set", f"{key}={value}", "--resume", ckpt) == 2
-        err = capsys.readouterr().err
-        assert f"resume changes settings recorded in {run_dir / 'resolved.cfg'}: {key} " in err
+        assert run_cli(*base, "--resume", str(ckpt)) == 2
+        assert "momentum buffers (32, 15), (1, 16) of layer 1" in capsys.readouterr().err
         assert self.snapshot(run_dir) == before
-        # more epochs, or no resolved.cfg beside the checkpoint, is still a resume
-        assert run_cli(*base, "--set", "epochs=5", "--resume", ckpt) == 0
-        elsewhere = tmp_path / "elsewhere"
-        elsewhere.mkdir()
-        (elsewhere / "ckpt.ltck").write_bytes((run_dir / "ckpt_epoch2.ltck").read_bytes())
-        assert run_cli(*base, "--set", f"{key}={value}",
-                       "--resume", str(elsewhere / "ckpt.ltck")) == 0
 
     @pytest.mark.parametrize("text", [b"mode ltc\n", b"seed = 5\n", b"mode = \xff\n"])
     def test_malformed_resolved_cfg_refuses_resume(self, tmp_path, blob_csvs, capsys, text):
@@ -472,6 +506,54 @@ class TestEval:
                   if line.startswith("recall@")]
         assert len(values) == 4
         assert values == sorted(values)
+
+    def test_retrieval_forwards_once(self, tmp_path, blob_csvs, capsys, monkeypatch):
+        train, test = blob_csvs
+        run_cli(*TestTrain().train_args(tmp_path, train, test, "--mode", "ltc"))
+        ckpt = tmp_path / "run" / "ckpt_final.ltck"
+        model, ds = network.load_checkpoint(ckpt).model, load_csv(test)
+        top1, top5 = trainer.evaluate(model, ds)
+        report = trainer.retrieval_eval(model, ds)
+        calls = []
+        forward = network.forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(network, "forward", counted)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(ckpt), "--data", str(test), "--retrieval")
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert calls == [ds.num_samples]
+        assert printed == [f"top1 {top1:.4f} top5 {top5:.4f}"] + [
+            f"recall@{k} {v:.4f}" for k, v in sorted(report.recall_at.items())
+        ]
+
+    def test_labels_beyond_the_model_exit_2(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        run_cli(*TestTrain().train_args(tmp_path, train, test, "--mode", "ltc"))
+        six = tmp_path / "six.csv"
+        assert run_cli("make-data", "--kind", "blobs", "--classes", "6", "--dim", "8",
+                       "--per-class", "5", "--out", str(six)) == 0
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(tmp_path / "run" / "ckpt_final.ltck"),
+                       "--data", str(six), "--retrieval")
+        assert code == 2
+        assert "labels reach 5, but the model has 4 classes" in capsys.readouterr().err
+
+    def test_layers_that_do_not_chain_exit_2(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        run_cli(*TestTrain().train_args(tmp_path, train, test, "--mode", "baseline"))
+        ckpt = tmp_path / "run" / "ckpt_final.ltck"
+        state = network.load_checkpoint(ckpt)
+        layer = state.model.feature[1]
+        layer.weight = np.vstack([layer.weight, np.zeros((1, 16))])  # fan-in 33 after 32
+        network.save_checkpoint(ckpt, state)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(ckpt), "--data", str(test)) == 2
+        assert "do not chain into one model" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):
         code = run_cli("eval", "--checkpoint", str(tmp_path / "nope.ltck"),

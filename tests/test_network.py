@@ -377,6 +377,30 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", ["fan_in", "activation", "encoder_depth"])
+    def test_layers_that_do_not_chain_rejected(self, tmp_path, edit):
+        state = self.build_state()
+        model = state.model
+        if edit == "fan_in":
+            model.feature[1].weight = np.zeros((11, 8))
+        elif edit == "activation":
+            model.classifier.activation = "relu"
+        else:
+            del model.encoder[1]
+        path = tmp_path / "chain.ltck"
+        save_checkpoint(path, state)
+        with pytest.raises(FormatError, match="do not chain"):
+            load_checkpoint(path)
+
+    def test_misshaped_momentum_buffer_rejected(self, tmp_path):
+        state = self.build_state()
+        bw, bb = state.optimizer.bufs[-1]
+        state.optimizer.bufs[-1] = (bw, np.zeros((1, 9)))
+        path = tmp_path / "buf.ltck"
+        save_checkpoint(path, state)
+        with pytest.raises(FormatError, match="momentum buffers .* of layer 5"):
+            load_checkpoint(path)
+
     def test_unknown_bank_activation_code(self, tmp_path):
         state = self.build_state()
         path = tmp_path / "act.ltck"

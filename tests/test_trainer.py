@@ -190,6 +190,16 @@ class TestDeterminismAndResume:
                  resume_from=str(run / "ckpt_epoch3.ltck"))
         assert on_disk == ["".join(kept)]
 
+    def test_resume_accepts_ints_given_for_float_settings(self, tmp_path):
+        # margin is compared through resolved.cfg, decay_factor through the LTCK file
+        train_ds, test_ds = blob_sets()
+        run = tmp_path / "run"
+        cfg = small_config("ltc", epochs=4, out_dir=str(run), margin=16, decay_factor=1)
+        cfg.checkpoint_every = 2
+        tm.train(cfg, train_ds, test_ds)
+        result = tm.train(cfg, train_ds, test_ds, resume_from=str(run / "ckpt_epoch2.ltck"))
+        assert [m.epoch for m in result.metrics] == [3, 4]
+
     def test_resume_rejects_mismatched_dims(self, tmp_path):
         train_ds, test_ds = blob_sets()
         cfg = small_config("ltc", epochs=4, out_dir=str(tmp_path / "src"))
@@ -357,7 +367,6 @@ class TestEvaluateRanking:
             if row % 2:
                 x[row, rng.below(k)] = (1e308, -1e308)[rng.below(2)]
         y = np.array([rng.below(k) for _ in range(n)])
-        y[::7] = k  # a class the classifier lacks: never a hit
         model = classifier_model(10.0 * np.eye(k))
         with np.errstate(over="ignore"):
             _, logits, _, _ = nm.forward(model, x, semantic=False)
@@ -371,6 +380,11 @@ class TestEvaluateRanking:
         )
         assert got == dense
         assert 0.0 < dense[0] < dense[1]  # the cases tell the ranks apart
+
+    def test_label_beyond_the_classifier_rejected(self):
+        x = np.eye(3)
+        with pytest.raises(DomainError, match="labels reach 3, but the model has 3 classes"):
+            tm.evaluate(classifier_model(np.eye(3)), dm.Dataset(x, np.array([0, 1, 3])))
 
     def test_nan_logit_rejected(self):
         weight = np.eye(3)
@@ -523,16 +537,3 @@ class TestCorrelationExport:
         tm.export_code_correlation(bank, path)
         first = path.read_text().splitlines()[0].split(",")
         assert all(len(cell.split(".")[1]) == 6 for cell in first)
-
-
-def test_group_correlation_split():
-    corr = np.array([
-        [1.0, 0.8, 0.1, 0.2],
-        [0.8, 1.0, 0.3, 0.0],
-        [0.1, 0.3, 1.0, 0.6],
-        [0.2, 0.0, 0.6, 1.0],
-    ])
-    groups = np.array([0, 0, 1, 1])
-    intra, inter = tm.group_correlation_split(corr, groups)
-    assert intra == pytest.approx((0.8 + 0.6) / 2)
-    assert inter == pytest.approx((0.1 + 0.2 + 0.3 + 0.0) / 4)
