@@ -71,8 +71,8 @@ class CodeBank:
             raise UsageError(f"unknown code bank kind {self.kind!r}")
         if self.activation not in (SIGN, TANH_SCALED):
             raise UsageError(f"unknown activation {self.activation!r}")
-        if self.tanh_scale <= 0:
-            raise DomainError(f"tanh scale must be positive, got {self.tanh_scale}")
+        if not (np.isfinite(self.tanh_scale) and self.tanh_scale > 0):
+            raise DomainError(f"tanh scale must be finite and positive, got {self.tanh_scale}")
         self.weights = as_matrix(self.weights)
 
 
@@ -101,9 +101,8 @@ def select_hadamard_codes(m: int, num_classes: int, rng: Rng) -> CodeBank:
 
     The all-ones first row is excluded, so every selected codeword has
     exactly m/2 entries equal to +1 and all pairwise Hamming distances
-    equal m/2.
+    equal m/2. The class count is checked before the m x m matrix is built.
     """
-    h = hadamard_matrix(m)
     if num_classes < 1:
         raise DomainError(f"need at least one class, got {num_classes}")
     if num_classes > m - 1:
@@ -111,6 +110,7 @@ def select_hadamard_codes(m: int, num_classes: int, rng: Rng) -> CodeBank:
             "length of Hadamard target codes must exceed class count: "
             f"{num_classes} classes need length > {num_classes}, got {m}"
         )
+    h = hadamard_matrix(m)
     rows = [1 + i for i in rng.sample(m - 1, num_classes)]
     return CodeBank(kind=HADAMARD_FIXED, weights=h[rows].copy())
 

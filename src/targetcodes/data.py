@@ -63,8 +63,9 @@ def make_blobs(
         raise DomainError(
             f"num_classes {num_classes} not divisible by num_groups {num_groups}"
         )
-    if spread_within < 0 or spread_group < 0:
-        raise DomainError("spreads must be non-negative")
+    spreads = (spread_within, spread_group, class_center_spread)
+    if not all(np.isfinite(s) and s >= 0 for s in spreads):
+        raise DomainError(f"spreads must be finite and non-negative, got {spreads}")
     group_centers = rng.normals(num_groups, dim) * spread_group
     class_centers = np.empty((num_classes, dim))
     per_group = num_classes // num_groups
@@ -79,6 +80,8 @@ def make_blobs(
         X[row : row + per_class] = class_centers[k] + noise
         y[row : row + per_class] = k
         row += per_class
+    if not np.isfinite(X).all():
+        raise DomainError(f"spreads {spreads} overflow float64: features must be finite")
     return Dataset(X=X, y=y)
 
 
@@ -88,8 +91,8 @@ def _round_half_up(x: float) -> int:
 
 def long_tail_counts(n_max: int, num_classes: int, ratio: float) -> list[int]:
     """Per-class keep counts decaying exponentially so max/min is ~ratio."""
-    if ratio < 1:
-        raise DomainError(f"imbalance ratio must be >= 1, got {ratio}")
+    if not (np.isfinite(ratio) and ratio >= 1):
+        raise DomainError(f"imbalance ratio must be finite and >= 1, got {ratio}")
     if num_classes == 1 or ratio == 1:
         return [n_max] * num_classes
     counts = [

@@ -192,8 +192,14 @@ def run_suite(
 
     With ``perturb`` set, one analytic gradient entry is inflated by 10%
     before the cross-entropy comparison; the suite must then fail (negative
-    control for the harness itself).
+    control for the harness itself). ``rounds`` must be at least 1, and
+    ``h`` and ``tol`` finite and positive.
     """
+    if rounds < 1:
+        raise DomainError(f"rounds must be at least 1, got {rounds}")
+    for name, value in (("h", h), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and positive, got {value}")
     checks = {
         "ce": lambda r: _check_ce(r, h, tol),
         "mse": lambda r: max(
@@ -212,8 +218,7 @@ def run_suite(
         rng = Rng(derive_seed(seed, hash_name(name)))
         worst = 0.0
         ok = True
-        n_rounds = rounds
-        for _ in range(n_rounds):
+        for _ in range(rounds):
             rep = fn(rng)
             worst = max(worst, rep.max_rel_err)
             ok = ok and rep.passed
@@ -221,7 +226,7 @@ def run_suite(
             rep = _perturbed_ce(rng, h, tol)
             worst = max(worst, rep.max_rel_err)
             ok = ok and rep.passed
-        rows.append(CheckRow(name=name, instances=n_rounds, max_rel_err=worst, passed=ok))
+        rows.append(CheckRow(name=name, instances=rounds, max_rel_err=worst, passed=ok))
     return rows
 
 

@@ -413,7 +413,10 @@ def save_checkpoint(path, state: CheckpointState) -> None:
 
 
 def load_checkpoint(path) -> CheckpointState:
-    """Read an LTCK file written by :func:`save_checkpoint`."""
+    """Read an LTCK file written by :func:`save_checkpoint`. A file that
+    disagrees with itself raises FormatError: layers that do not chain,
+    momentum buffers or a bank shaped unlike the model, or a bank kind
+    that does not follow the mode (Hadamard exactly in ``htc``)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4 or raw[:4] != _CKPT_MAGIC:
@@ -472,8 +475,18 @@ def load_checkpoint(path) -> CheckpointState:
     (has_bank,) = rd.unpack("<B")
     bank = codes_mod.read_bank(rd) if has_bank else None
     rd.finish()
+    mode = _MODE_NAMES[mode_code]
+    if bank is not None:
+        _, _, num_classes, _, code_length = model_dims(model)
+        if bank.weights.shape != (num_classes, code_length):
+            raise FormatError(
+                f"checkpoint code bank is {bank.num_classes} x {bank.code_length}, but its "
+                f"model has {num_classes} classes and code length {code_length}"
+            )
+        if (bank.kind == codes_mod.HADAMARD_FIXED) != (mode == "htc"):
+            raise FormatError(f"checkpoint code bank is {bank.kind} in mode {mode!r}")
     return CheckpointState(
-        mode=_MODE_NAMES[mode_code],
+        mode=mode,
         seed=seed,
         rng_state=rng_state,
         epoch=epoch,

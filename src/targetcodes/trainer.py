@@ -204,17 +204,6 @@ def validate_config(
         raise ConfigError(
             f"config says {hp.num_classes} classes, data has {num_classes}"
         )
-    if config.mode == HTC:
-        length = hp.code_length
-        if length < 2 or (length & (length - 1)) != 0:
-            raise ConfigError(
-                f"Hadamard codes need a power-of-two length, got {length}"
-            )
-        if num_classes > length - 1:
-            raise ConfigError(
-                f"Hadamard codes of length {length} support at most {length - 1} classes, "
-                f"got {num_classes}"
-            )
     if config.activation not in (codes_mod.SIGN, codes_mod.TANH_SCALED):
         raise ConfigError(f"unknown activation {config.activation!r}")
     if config.ste_rule not in (codes_mod.STE_CLIPPED, codes_mod.STE_PASSTHROUGH):
@@ -274,8 +263,8 @@ def _settings(config: TrainConfig) -> dict[str, str]:
 def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict[str, str]:
     """``key -> formatted value`` of the run that wrote ``resume_from``: a
     ``resolved.cfg`` beside it, if any, overlaid with what the LTCK file
-    stores (mode, seed, optimizer settings, the bank's K x L and, when
-    learnable, its activation and tanh scale)."""
+    stores (mode, seed, optimizer settings, the model's dimensions and,
+    for a learnable bank, its activation and tanh scale)."""
     recorded = {}
     cfg_path = os.path.join(os.path.dirname(resume_from), "resolved.cfg")
     if os.path.exists(cfg_path):
@@ -287,7 +276,8 @@ def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict
     # every Optimizer field but the momentum buffers is a config key
     stored = {f.name: getattr(opt, f.name) for f in fields(opt) if f.name != "bufs"}
     stored.update(mode=state.mode, seed=state.seed)
-    stored["num_classes"], stored["code_length"] = bank.weights.shape
+    (_, stored["feature_widths"], stored["num_classes"], stored["encoder_hidden"],
+     stored["code_length"]) = net_mod.model_dims(state.model)
     if bank.kind == codes_mod.LEARNABLE:
         stored.update(activation=bank.activation, tanh_scale=bank.tanh_scale)
     recorded.update((key, _CONFIG_KEYS[key][1](value)) for key, value in stored.items())
@@ -298,26 +288,18 @@ def _check_resume_state(
     state: net_mod.CheckpointState, config: TrainConfig, input_dim: int, resume_from: str
 ) -> None:
     """Refuse ``state`` unless ``config`` would continue the same run: a code
-    bank of the kind its mode uses, the same layers, every setting of
+    bank, a first layer as wide as the data, every setting of
     :func:`_recorded_settings` outside ``_RESUMABLE_KEYS`` unchanged, and
-    epochs left to train."""
+    epochs left to train. :func:`network.load_checkpoint` has already
+    checked the file against itself."""
     hp = config.hp
-    bank = state.bank
-    if bank is None:
+    if state.bank is None:
         raise ConfigError("checkpoint is missing the code bank")
-    if (bank.kind == codes_mod.HADAMARD_FIXED) != (state.mode == HTC):
-        raise ConfigError(f"checkpoint code bank is {bank.kind} in mode {state.mode!r}")
-    names = ("input_dim", "feature_widths", "num_classes", "encoder_hidden", "code_length")
-    want = (
-        input_dim, tuple(config.feature_widths), hp.num_classes, config.encoder_hidden,
-        hp.code_length,
-    )
-    changed = [
-        f"{key} {old} -> {new}"
-        for key, old, new in zip(names, net_mod.model_dims(state.model), want) if old != new
-    ]
-    if changed:
-        raise DimensionError(f"checkpoint layers do not match config: {', '.join(changed)}")
+    old_dim = net_mod.model_dims(state.model)[0]
+    if old_dim != input_dim:
+        raise DimensionError(
+            f"checkpoint layers do not match config: input_dim {old_dim} -> {input_dim}"
+        )
     wanted = _settings(config)
     changed = [
         f"{key} {old} -> {wanted[key]}"

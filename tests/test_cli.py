@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ class TestGenCodes:
         assert code == 2
         assert printed in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_tanh_scale_exit_2(self, tmp_path, capsys, scale):
+        out = tmp_path / "c.ltcb"
+        code = run_cli("gen-codes", "--mode", "learnable", "--classes", "3", "--length", "8",
+                       "--activation", "tanh_scaled", "--tanh-scale", scale, "--out", str(out))
+        assert code == 2
+        assert "tanh scale must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inspect_codes(self, tmp_path, capsys):
         out = tmp_path / "bank.ltcb"
         run_cli("gen-codes", "--mode", "hadamard", "--classes", "7",
@@ -117,6 +127,25 @@ class TestMakeData:
                        "--dim", "4", "--groups", "1", "--per-class", "10",
                        "--ratio", "0.5", "--seed", "0",
                        "--out", str(tmp_path / "x.csv")) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "longtail", "--ratio", "nan"),
+        ("--kind", "longtail", "--ratio", "inf"),
+        ("--kind", "blobs", "--spread-within", "nan"),
+        ("--kind", "blobs", "--spread-group", "inf"),
+        ("--kind", "blobs", "--class-spread", "inf"),
+        ("--kind", "blobs", "--class-spread", "-1"),
+        pytest.param(("--kind", "blobs", "--spread-within", "1e308"),
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    ], ids=["ratio_nan", "ratio_inf", "spread_within_nan", "spread_group_inf",
+            "class_spread_inf", "class_spread_negative", "spread_overflow"])
+    def test_non_finite_or_negative_input_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        code = run_cli("make-data", "--classes", "3", "--dim", "4", "--groups", "1",
+                       "--per-class", "10", "--out", str(out), *flags)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_loadable(self, blob_csvs):
         # --per-class sizes the training set; --test-per-class adds extra rows
@@ -161,6 +190,7 @@ class TestTrain:
         code = run_cli(*self.train_args(tmp_path, train, test,
                                         "--mode", "htc", "--length", "500"))
         assert code == 2
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path, blob_csvs):
         train, test = blob_csvs
@@ -321,7 +351,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("case, message", [
         ("tanh_activation", "activation sign -> tanh_scaled"),
-        ("short_bank", "code_length 8 -> 16"),
+        ("short_bank",
+         "checkpoint code bank is 4 x 8, but its model has 4 classes and code length 16"),
         ("hadamard_bank", "checkpoint code bank is hadamard_fixed in mode 'ltc'"),
     ], ids=["tanh_activation", "short_bank", "hadamard_bank"])
     def test_resume_refuses_a_different_code_bank(
@@ -479,6 +510,20 @@ class TestGradcheckCommand:
         assert code == 1
         assert "FAIL" in printed
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--rounds", "0"), "rounds must be at least 1, got 0"),
+        (("--rounds", "-1"), "rounds must be at least 1, got -1"),
+        (("--tol", "-1"), "tol must be finite and positive, got -1.0"),
+        (("--tol", "nan"), "tol must be finite and positive, got nan"),
+        (("--tol", "0"), "tol must be finite and positive, got 0.0"),
+    ], ids=["rounds_0", "rounds_negative", "tol_negative", "tol_nan", "tol_0"])
+    def test_usage_errors_exit_2(self, capsys, flags, message):
+        code = run_cli("gradcheck", "--seed", "1", *flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestEval:
     def test_eval_matches_final_metrics(self, tmp_path, blob_csvs, capsys):
@@ -555,6 +600,26 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", str(ckpt), "--data", str(test)) == 2
         assert "do not chain into one model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, message", [
+        ("short_bank", "checkpoint code bank is 4 x 8, but its model has 4 classes"),
+        ("hadamard_in_ltc", "checkpoint code bank is hadamard_fixed in mode 'ltc'"),
+    ], ids=["short_bank", "hadamard_in_ltc"])
+    def test_self_inconsistent_checkpoint_exit_2(
+        self, tmp_path, blob_csvs, capsys, case, message
+    ):
+        train, test = blob_csvs
+        run_cli(*TestTrain().train_args(tmp_path, train, test, "--mode", "ltc"))
+        ckpt = tmp_path / "run" / "ckpt_final.ltck"
+        state = network.load_checkpoint(ckpt)
+        if case == "short_bank":
+            state.bank = codes.init_learnable_codes(4, 8, Rng(0))
+        else:
+            state.bank = codes.select_hadamard_codes(16, 4, Rng(0))
+        network.save_checkpoint(ckpt, state)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(ckpt), "--data", str(test)) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_2(self, tmp_path, capsys):
         code = run_cli("eval", "--checkpoint", str(tmp_path / "nope.ltck"),
                        "--data", str(tmp_path / "nope.csv"))
@@ -601,3 +666,34 @@ class TestConfigFileParsing:
             reparsed[key.strip()] = trainer._CONFIG_KEYS[key.strip()][0](value.strip())
         for key, expected in values.items():
             assert reparsed[key] == expected
+
+
+FIXTURE_V1 = Path(__file__).parent / "fixtures" / "ltck_v1"
+
+
+class TestLtckV1Fixture:
+    """A committed LTCK v1 run: input dim 2, one feature layer of width 2,
+    2 classes, encoder width 2 and code length 2, ltc mode, checkpointed
+    after epoch 1 of 2. Later checkpoint versions must keep reading it."""
+
+    def test_load_save_round_trip_is_byte_identical(self, tmp_path):
+        ckpt = FIXTURE_V1 / "ckpt_epoch1.ltck"
+        network.save_checkpoint(tmp_path / "again.ltck", network.load_checkpoint(ckpt))
+        assert (tmp_path / "again.ltck").read_bytes() == ckpt.read_bytes()
+
+    def test_eval_prints_pinned_scores(self, capsys):
+        code = run_cli("eval", "--checkpoint", str(FIXTURE_V1 / "ckpt_epoch1.ltck"),
+                       "--data", str(FIXTURE_V1 / "test.csv"))
+        assert code == 0
+        assert capsys.readouterr().out == "top1 0.6250 top5 1.0000\n"
+
+    def test_resume_runs_the_last_epoch(self, tmp_path, capsys):
+        out = tmp_path / "resumed"
+        code = run_cli("train", "--config", str(FIXTURE_V1 / "resolved.cfg"),
+                       "--data", str(FIXTURE_V1 / "train.csv"),
+                       "--test-data", str(FIXTURE_V1 / "test.csv"), "--out", str(out),
+                       "--resume", str(FIXTURE_V1 / "ckpt_epoch1.ltck"))
+        assert code == 0
+        assert "final epoch 2: top1 0.6250 top5 1.0000" in capsys.readouterr().out
+        lines = (out / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in lines] == [2]

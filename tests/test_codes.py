@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from targetcodes import codes as codes_mod
 from targetcodes.codes import (
     CodeBank,
     activate,
@@ -74,6 +75,14 @@ class TestSelectHadamardCodes:
     def test_capacity_error(self):
         with pytest.raises(CapacityError, match="exceed"):
             select_hadamard_codes(2, 2, Rng(0))
+
+    def test_capacity_checked_before_the_matrix_is_built(self, monkeypatch):
+        def unbuilt(m):
+            raise AssertionError(f"built the order-{m} Hadamard matrix")
+
+        monkeypatch.setattr(codes_mod, "hadamard_matrix", unbuilt)
+        with pytest.raises(CapacityError, match="101 classes need length > 101, got 64"):
+            select_hadamard_codes(64, 101, Rng(0))
 
     @pytest.mark.parametrize("m,k", [(8, 7), (16, 9), (64, 63), (256, 100)])
     def test_balance_and_distance_properties(self, m, k):
@@ -258,6 +267,21 @@ def test_argmax_scores_invariant_under_row_and_label_permutation():
     pred_perm = np.argmax(v @ s_perm.T, axis=1)
     # permuting codebank rows relabels predictions consistently
     assert np.array_equal(np.array(perm)[pred_perm], pred)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_non_finite_tanh_scale_rejected(tmp_path, scale):
+    with pytest.raises(DomainError, match="tanh scale must be finite and positive"):
+        CodeBank("learnable", np.zeros((2, 3)), activation="tanh_scaled", tanh_scale=scale)
+    # a bank file storing such a scale: magic, u32 version 2, u32 kind,
+    # u32 activation, f64 tanh scale, then the weights matrix
+    path = tmp_path / "scale.ltcb"
+    save_bank(init_learnable_codes(2, 3, Rng(0), activation="tanh_scaled"), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, 16, scale)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DomainError, match="tanh scale must be finite and positive"):
+        load_bank(path)
 
 
 class TestBankSerialization:

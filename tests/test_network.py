@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from targetcodes.codes import init_learnable_codes
+from targetcodes.codes import init_learnable_codes, select_hadamard_codes
 from targetcodes.core import Rng, finite_diff_check
 from targetcodes.errors import (
     DimensionError,
@@ -399,6 +399,27 @@ class TestCheckpoint:
         path = tmp_path / "buf.ltck"
         save_checkpoint(path, state)
         with pytest.raises(FormatError, match="momentum buffers .* of layer 5"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("short_bank", "code bank is 3 x 4, but its model has 3 classes and code length 8"),
+        ("extra_class", "code bank is 4 x 8, but its model has 3 classes and code length 8"),
+        ("hadamard_in_ltc", "code bank is hadamard_fixed in mode 'ltc'"),
+        ("learnable_in_htc", "code bank is learnable in mode 'htc'"),
+    ], ids=["short_bank", "extra_class", "hadamard_in_ltc", "learnable_in_htc"])
+    def test_bank_that_does_not_fit_the_model_rejected(self, tmp_path, edit, message):
+        state = self.build_state()
+        if edit == "short_bank":
+            state.bank = init_learnable_codes(3, 4, Rng(0))
+        elif edit == "extra_class":
+            state.bank = init_learnable_codes(4, 8, Rng(0))
+        elif edit == "hadamard_in_ltc":
+            state.bank = select_hadamard_codes(8, 3, Rng(0))
+        else:
+            state.mode = "htc"
+        path = tmp_path / "bank.ltck"
+        save_checkpoint(path, state)
+        with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
 
     def test_unknown_bank_activation_code(self, tmp_path):

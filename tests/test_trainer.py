@@ -127,10 +127,10 @@ class TestTrainBranches:
     def test_config_validation_before_compute(self):
         train_ds, test_ds = blob_sets()
         bad = small_config("htc", code_length=500)  # not a power of two
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             tm.train(bad, train_ds, test_ds)
         bad2 = small_config("htc", code_length=8)  # 8 - 1 < 8 classes
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             tm.train(bad2, train_ds, test_ds)
 
 
@@ -206,8 +206,19 @@ class TestDeterminismAndResume:
         result = tm.train(cfg, train_ds, test_ds)
         other = small_config("ltc", epochs=4)
         other.feature_widths = (48, 24)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="feature_widths"):
             tm.train(other, train_ds, test_ds, resume_from=result.final_checkpoint)
+
+    def test_resume_rejects_data_of_another_width(self, tmp_path):
+        train_ds, test_ds = blob_sets()
+        cfg = small_config("ltc", epochs=4, out_dir=str(tmp_path / "src"))
+        result = tm.train(cfg, train_ds, test_ds)
+        wide_train, wide_test = (
+            dm.Dataset(X=np.hstack([ds.X, ds.X[:, :1]]), y=ds.y) for ds in (train_ds, test_ds)
+        )
+        with pytest.raises(DimensionError, match="input_dim 16 -> 17"):
+            tm.train(small_config("ltc", epochs=4), wide_train, wide_test,
+                     resume_from=result.final_checkpoint)
 
     def test_resume_rejects_mode_mismatch(self, tmp_path):
         train_ds, test_ds = blob_sets()
