@@ -171,9 +171,10 @@ def cmd_eval(args) -> int:
     # would each run their own
     z, logits = net_mod.forward(state.model, ds.X, semantic=False)[:2]
     top1, top5 = trainer_mod._top_k(logits, ds.y)
+    # score everything before printing, so a refused command prints nothing
+    report = trainer_mod._recall_at(z, ds.y) if args.retrieval else None
     print(f"top1 {top1:.4f} top5 {top5:.4f}")
-    if args.retrieval:
-        report = trainer_mod._recall_at(z, ds.y)
+    if report is not None:
         for k in sorted(report.recall_at):
             print(f"recall@{k} {report.recall_at[k]:.4f}")
         if report.skipped_queries:

@@ -76,24 +76,24 @@ class CodeBank:
         self.weights = as_matrix(self.weights)
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 def hadamard_matrix(m: int) -> Matrix:
     """m x m Hadamard matrix for m a power of two, m >= 2.
 
-    Built by the Sylvester recursion: start from [[1, 1], [1, -1]] and
-    repeatedly take the Kronecker product with that base block, which
-    guarantees H @ H.T == m * I with exact +-1 entries.
+    Sylvester's construction in closed form: entry (i, j) is
+    (-1)**popcount(i & j), the matrix that repeated Kronecker products with
+    [[1, 1], [1, -1]] build, so H @ H.T == m * I with exact +-1 entries.
     """
-    if m < 2 or not _is_power_of_two(m):
+    return _sylvester_rows(m, np.arange(m))
+
+
+def _sylvester_rows(m: int, rows) -> Matrix:
+    """Rows ``rows`` of ``hadamard_matrix(m)``, built without the others."""
+    if m < 2 or m & (m - 1):
         raise DomainError(f"Hadamard order must be a power of two >= 2, got {m}")
-    base = np.array([[1.0, 1.0], [1.0, -1.0]])
-    h = base
-    while h.shape[0] < m:
-        h = np.kron(h, base)
-    return h
+    p = np.asarray(rows, dtype=np.int64)[:, None] & np.arange(m, dtype=np.int64)
+    for shift in (1, 2, 4, 8, 16, 32):  # fold the parity of i & j into bit 0
+        p ^= p >> shift
+    return 1.0 - 2.0 * (p & 1)
 
 
 def select_hadamard_codes(m: int, num_classes: int, rng: Rng) -> CodeBank:
@@ -101,7 +101,7 @@ def select_hadamard_codes(m: int, num_classes: int, rng: Rng) -> CodeBank:
 
     The all-ones first row is excluded, so every selected codeword has
     exactly m/2 entries equal to +1 and all pairwise Hamming distances
-    equal m/2. The class count is checked before the m x m matrix is built.
+    equal m/2. Only the selected rows are built, in O(K * m) memory.
     """
     if num_classes < 1:
         raise DomainError(f"need at least one class, got {num_classes}")
@@ -110,9 +110,8 @@ def select_hadamard_codes(m: int, num_classes: int, rng: Rng) -> CodeBank:
             "length of Hadamard target codes must exceed class count: "
             f"{num_classes} classes need length > {num_classes}, got {m}"
         )
-    h = hadamard_matrix(m)
     rows = [1 + i for i in rng.sample(m - 1, num_classes)]
-    return CodeBank(kind=HADAMARD_FIXED, weights=h[rows].copy())
+    return CodeBank(kind=HADAMARD_FIXED, weights=_sylvester_rows(m, rows))
 
 
 def init_learnable_codes(

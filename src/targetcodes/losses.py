@@ -130,23 +130,27 @@ def cross_entropy(logits, labels) -> tuple[float, Matrix]:
     return loss, grad / n
 
 
-def _mse(semantic, codes, labels) -> tuple[float, Matrix, Matrix, np.ndarray]:
-    """``mse_codes`` without the codeword gradient: the loss, the semantic
-    gradient, and the checked codewords and labels."""
+def _code_batch(semantic, codes, labels) -> tuple[Matrix, Matrix, np.ndarray]:
+    """The one check of a coding batch: semantic codes (N x L), codewords
+    (K x L) and N labels in [0, K), returned as checked arrays."""
     v = as_matrix(semantic)
     s = as_matrix(codes)
     if v.shape[1] != s.shape[1]:
         raise DimensionError(
             f"semantic code length {v.shape[1]} does not match codewords {s.shape[1]}"
         )
-    n, length = v.shape
     y = labels_array(labels, s.shape[0])
-    if y.shape[0] != n:
-        raise DimensionError(f"{y.shape[0]} labels for {n} semantic codes")
+    if y.shape[0] != v.shape[0]:
+        raise DimensionError(f"{y.shape[0]} labels for {v.shape[0]} semantic codes")
+    return v, s, y
+
+
+def _mse(v: Matrix, s: Matrix, y: np.ndarray) -> tuple[float, Matrix]:
+    """``mse_codes`` on a checked batch, without the codeword gradient."""
+    n, length = v.shape
     diff = v - s[y]
     loss = float((diff * diff).sum() / (n * length))
-    grad_v = (2.0 / (n * length)) * diff
-    return loss, grad_v, s, y
+    return loss, (2.0 / (n * length)) * diff
 
 
 def mse_codes(semantic, codes, labels) -> tuple[float, Matrix, Matrix]:
@@ -156,36 +160,18 @@ def mse_codes(semantic, codes, labels) -> tuple[float, Matrix, Matrix]:
     gradient w.r.t. the semantic codes (N x L), and the gradient w.r.t. the
     codeword matrix (K x L, zero rows for classes absent from the batch).
     """
-    loss, grad_v, s, y = _mse(semantic, codes, labels)
+    v, s, y = _code_batch(semantic, codes, labels)
+    loss, grad_v = _mse(v, s, y)
     grad_s = np.zeros_like(s)
     np.add.at(grad_s, y, -grad_v)
     return loss, grad_v, grad_s
 
 
-def triplet_global(semantic, codes, labels, margin: float) -> tuple[float, Matrix, Matrix]:
-    """Hinge loss on (negative-class correlation - true-class correlation + margin)
-    summed over every negative class of every sample.
-
-    Correlation here is the plain inner product between a semantic code and
-    a codeword. The average runs over N * (K - 1) pairs. Gradients flow only
-    through strictly positive hinge terms; a hinge exactly at zero
-    contributes nothing.
-    """
-    v = as_matrix(semantic)
-    s = as_matrix(codes)
-    k = s.shape[0]
+def _triplet(v: Matrix, s: Matrix, y: np.ndarray, margin: float) -> tuple[float, Matrix, Matrix]:
+    """``triplet_global`` on a checked batch."""
+    n, k = v.shape[0], s.shape[0]
     if k < 2:
         raise DomainError("triplet loss needs at least two classes")
-    if margin < 0:
-        raise DomainError(f"margin must be non-negative, got {margin}")
-    if v.shape[1] != s.shape[1]:
-        raise DimensionError(
-            f"semantic code length {v.shape[1]} does not match codewords {s.shape[1]}"
-        )
-    n = v.shape[0]
-    y = labels_array(labels, k)
-    if y.shape[0] != n:
-        raise DimensionError(f"{y.shape[0]} labels for {n} semantic codes")
     rows = np.arange(n)
     corr = v @ s.T
     hinge = corr - corr[rows, y][:, None] + margin
@@ -199,6 +185,20 @@ def triplet_global(semantic, codes, labels, margin: float) -> tuple[float, Matri
     grad_s = weights.T @ v
     np.add.at(grad_s, y, -per_row[:, None] * v)
     return loss, grad_v, grad_s
+
+
+def triplet_global(semantic, codes, labels, margin: float) -> tuple[float, Matrix, Matrix]:
+    """Hinge loss on (negative-class correlation - true-class correlation + margin)
+    summed over every negative class of every sample.
+
+    Correlation here is the plain inner product between a semantic code and
+    a codeword. The average runs over N * (K - 1) pairs. Gradients flow only
+    through strictly positive hinge terms; a hinge exactly at zero
+    contributes nothing.
+    """
+    if margin < 0:
+        raise DomainError(f"margin must be non-negative, got {margin}")
+    return _triplet(*_code_batch(semantic, codes, labels), margin)
 
 
 def corr_consistency(codes) -> tuple[float, Matrix]:
@@ -235,16 +235,18 @@ def compose_objective(mode: str, hp: Hyperparams, logits, semantic, codes, label
     ce_loss, grad_logits = cross_entropy(logits, labels)
     if mode == BASELINE:
         return LossBundle(ce_loss, ce_loss, 0.0, 0.0, 0.0, grad_logits)
+    v, s, y = _code_batch(semantic, codes, labels)
+    mse_loss, mse_gv = _mse(v, s, y)
     if mode == HTC:  # fixed codes take no gradient, so skip building it
-        mse_loss, mse_gv, _, _ = _mse(semantic, codes, labels)
         total = ce_loss + hp.mse_weight * mse_loss
         return LossBundle(
             total, ce_loss, mse_loss, 0.0, 0.0, grad_logits,
             grad_semantic=hp.mse_weight * mse_gv,
         )
-    mse_loss, mse_gv, mse_gs = mse_codes(semantic, codes, labels)
-    tri_loss, tri_gv, tri_gs = triplet_global(semantic, codes, labels, hp.margin)
-    corr_loss, corr_gs = corr_consistency(codes)
+    mse_gs = np.zeros_like(s)
+    np.add.at(mse_gs, y, -mse_gv)
+    tri_loss, tri_gv, tri_gs = _triplet(v, s, y, hp.margin)
+    corr_loss, corr_gs = corr_consistency(s)
     total = (
         ce_loss
         + hp.mse_weight * mse_loss
@@ -258,12 +260,6 @@ def compose_objective(mode: str, hp: Hyperparams, logits, semantic, codes, label
         + hp.corr_weight * corr_gs
     )
     return LossBundle(
-        total,
-        ce_loss,
-        mse_loss,
-        tri_loss,
-        corr_loss,
-        grad_logits,
-        grad_semantic=grad_semantic,
-        grad_codes=grad_codes,
+        total, ce_loss, mse_loss, tri_loss, corr_loss, grad_logits,
+        grad_semantic=grad_semantic, grad_codes=grad_codes,
     )

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 its measured numbers (run with -s or -v to see them inline).
 
-Trend criteria (5-8) run full desk-scale training sweeps with frozen seeds;
+Trend criteria (5-8, 11) run full desk-scale training sweeps with frozen seeds;
 everything is deterministic, so these results are stable across reruns.
 """
 
@@ -12,6 +12,7 @@ import pytest
 
 from targetcodes import codes as cm
 from targetcodes import data as dm
+from targetcodes import network as nm
 from targetcodes import trainer as tm
 from targetcodes.core import Rng, derive_seed
 from targetcodes.gradcheck import run_suite
@@ -151,23 +152,35 @@ def test_c04_degenerate_weight_equivalence(tmp_path):
            f"30-epoch metrics byte-identical, {elapsed:.1f}s < 2min")
 
 
-def test_c05_component_ablation_trend():
+ABLATION_VARIANTS = (
+    ("ce", "baseline", (0.0, 0.0, 0.0)),
+    ("ce+mse", "ltc", (1.0, 0.0, 0.0)),
+    ("ce+mse+triplet", "ltc", (1.0, 0.01, 0.0)),
+    ("full", "ltc", (1.0, 0.01, 0.1)),
+)
+
+
+@pytest.fixture(scope="module")
+def ablation_runs():
+    """C5's sweep, trained once for C5 and C11: per variant name, one
+    (train, test, result) per seed, and the sweep's wall time in seconds."""
     start = time.perf_counter()
-    variants = [
-        ("ce", "baseline", (0.0, 0.0, 0.0)),
-        ("ce+mse", "ltc", (1.0, 0.0, 0.0)),
-        ("ce+mse+triplet", "ltc", (1.0, 0.01, 0.0)),
-        ("full", "ltc", (1.0, 0.01, 0.1)),
+    sets = {seed: longtail_sets(seed) for seed in SEEDS}
+    runs = {}
+    for name, mode, (mw, tw, cw) in ABLATION_VARIANTS:
+        runs[name] = [
+            (*sets[seed], tm.train(longtail_config(mode, seed, mw, tw, cw), *sets[seed]))
+            for seed in SEEDS
+        ]
+    return runs, time.perf_counter() - start
+
+
+def test_c05_component_ablation_trend(ablation_runs):
+    runs, elapsed = ablation_runs
+    means = [
+        (name, float(np.mean([result.metrics[-1].top1 for _, _, result in runs[name]])))
+        for name, _, _ in ABLATION_VARIANTS
     ]
-    means = []
-    for name, mode, (mw, tw, cw) in variants:
-        accs = []
-        for seed in SEEDS:
-            train, test = longtail_sets(seed)
-            result = tm.train(longtail_config(mode, seed, mw, tw, cw), train, test)
-            accs.append(result.metrics[-1].top1)
-        means.append((name, float(np.mean(accs))))
-    elapsed = time.perf_counter() - start
     values = [m for _, m in means]
     # non-decreasing order with at most one adjacent inversion of <= 0.5 points
     inversions = [max(0.0, values[i] - values[i + 1]) for i in range(3)]
@@ -180,6 +193,40 @@ def test_c05_component_ablation_trend():
     )
     detail = " ".join(f"{n}={m:.4f}" for n, m in means)
     report("C5 ablation-trend", ok, f"{detail}, {elapsed:.0f}s < 15min")
+
+
+def tail_classes(class_counts):
+    """The tail third of the class ids when they are split into head,
+    medium and tail thirds (3/2/3 for 8 classes) by training count, largest
+    first, ties broken by class index."""
+    order = sorted(range(len(class_counts)), key=lambda c: (-int(class_counts[c]), c))
+    third = -(-len(order) // 3)
+    return order[-third:]
+
+
+def per_class_top1(model, test):
+    """Top-1 of each class of ``test``, ties broken at the first maximum logit."""
+    pred = nm.forward(model, test.X, semantic=False)[1].argmax(axis=1)
+    return np.array([np.mean(pred[test.y == c] == c) for c in range(test.num_classes)])
+
+
+def test_c11_imbalance_tail_gain(ablation_runs):
+    runs, _ = ablation_runs
+    tail, overall = {}, {}
+    for name in ("ce", "full"):
+        tails, alls = [], []
+        for train, test, result in runs[name]:
+            acc = per_class_top1(result.model, test)
+            assert acc.mean() == pytest.approx(result.metrics[-1].top1, abs=1e-12)
+            tails.append(acc[tail_classes(train.class_counts)].mean())
+            alls.append(acc.mean())
+        tail[name], overall[name] = float(np.mean(tails)), float(np.mean(alls))
+    tail_gain = tail["full"] - tail["ce"]
+    overall_gain = overall["full"] - overall["ce"]
+    ok = tail_gain > 0 and tail_gain >= overall_gain
+    report("C11 imbalance-tail-gain", ok,
+           f"tail {tail['ce']:.4f}->{tail['full']:.4f} ({tail_gain:+.4f}), "
+           f"overall {overall['ce']:.4f}->{overall['full']:.4f} ({overall_gain:+.4f})")
 
 
 def test_c06_orthogonality_pressure(tmp_path):

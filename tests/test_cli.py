@@ -261,6 +261,27 @@ class TestTrain:
         assert "diverged" in err
         assert "last good checkpoint" in err
 
+    def test_non_finite_gradient_exit_3(self, tmp_path, blob_csvs, capsys, monkeypatch):
+        train, test = blob_csvs
+        real_backward = network.backward
+        steps = []
+
+        def backward(*args, **kwargs):
+            grads = real_backward(*args, **kwargs)
+            steps.append(None)
+            if len(steps) == 12:  # in epoch 2 of 8 steps each
+                grads[0] = (np.full_like(grads[0][0], np.inf), grads[0][1])
+            return grads
+
+        monkeypatch.setattr(network, "backward", backward)
+        code = run_cli(*self.train_args(tmp_path, train, test, "--mode", "ltc"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "parameter gradient contains non-finite entries" in err
+        ckpt = tmp_path / "run" / "ckpt_diverged_last_good.ltck"
+        assert f"last good checkpoint: {ckpt}" in err
+        assert network.load_checkpoint(ckpt).epoch == 1
+
     def test_config_file_with_comments_and_overrides(self, tmp_path, blob_csvs, capsys):
         train, test = blob_csvs
         cfg = tmp_path / "run.cfg"
@@ -686,6 +707,15 @@ class TestLtckV1Fixture:
                        "--data", str(FIXTURE_V1 / "test.csv"))
         assert code == 0
         assert capsys.readouterr().out == "top1 0.6250 top5 1.0000\n"
+
+    def test_eval_retrieval_refused_prints_nothing(self, capsys):
+        # recall@8 needs more than the fixture's 8 test rows
+        code = run_cli("eval", "--checkpoint", str(FIXTURE_V1 / "ckpt_epoch1.ltck"),
+                       "--data", str(FIXTURE_V1 / "test.csv"), "--retrieval")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "recall depth 8 needs more than 8 samples" in captured.err
 
     def test_resume_runs_the_last_epoch(self, tmp_path, capsys):
         out = tmp_path / "resumed"

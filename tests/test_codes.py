@@ -2,6 +2,7 @@
 clipped straight-through backward rule."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,13 @@ class TestHadamardMatrix:
         with pytest.raises(DomainError):
             hadamard_matrix(m)
 
+    def test_matches_the_kronecker_recursion_bit_for_bit(self):
+        base = np.array([[1.0, 1.0], [1.0, -1.0]])
+        expected = base
+        for m in (2, 4, 8, 16, 32, 64, 128, 256, 512):
+            assert hadamard_matrix(m).tobytes() == expected.tobytes()
+            expected = np.kron(expected, base)
+
 
 class TestSelectHadamardCodes:
     def test_m4_k3_uses_all_non_first_rows(self):
@@ -77,10 +85,10 @@ class TestSelectHadamardCodes:
             select_hadamard_codes(2, 2, Rng(0))
 
     def test_capacity_checked_before_the_matrix_is_built(self, monkeypatch):
-        def unbuilt(m):
-            raise AssertionError(f"built the order-{m} Hadamard matrix")
+        def unbuilt(m, rows):
+            raise AssertionError(f"built rows of the order-{m} Hadamard matrix")
 
-        monkeypatch.setattr(codes_mod, "hadamard_matrix", unbuilt)
+        monkeypatch.setattr(codes_mod, "_sylvester_rows", unbuilt)
         with pytest.raises(CapacityError, match="101 classes need length > 101, got 64"):
             select_hadamard_codes(64, 101, Rng(0))
 
@@ -91,6 +99,18 @@ class TestSelectHadamardCodes:
         ham = pairwise_hamming(bank.weights)
         off = ham[~np.eye(k, dtype=bool)]
         assert set(off.tolist()) == {m // 2}
+
+    def test_builds_only_the_selected_rows(self):
+        # the whole order-2048 matrix alone would take 2048 * 2048 * 8 = 33.5 MB
+        tracemalloc.start()
+        try:
+            bank = select_hadamard_codes(2048, 10, Rng(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        h = hadamard_matrix(2048)
+        assert all((h[1:] == w).all(axis=1).sum() == 1 for w in bank.weights)
 
     def test_rows_distinct(self):
         bank = select_hadamard_codes(16, 15, Rng(5))

@@ -173,6 +173,21 @@ class TestDeterminismAndResume:
         ).read_bytes()
         assert (run / "corr_init.csv").read_bytes() == corr_init
 
+    def test_resume_drops_a_torn_last_metrics_line(self, tmp_path):
+        # a run killed while writing epoch 4's line, after the epoch-3 checkpoint
+        train_ds, test_ds = blob_sets()
+        for name in ("full", "killed"):
+            cfg = small_config("ltc", epochs=6, out_dir=str(tmp_path / name))
+            cfg.checkpoint_every = 3
+            tm.train(cfg, train_ds, test_ds)
+        run = tmp_path / "killed"
+        lines = (run / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        (run / "metrics.jsonl").write_bytes(b"".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
+        tm.train(cfg, train_ds, test_ds, resume_from=str(run / "ckpt_epoch3.ltck"))
+        assert (run / "metrics.jsonl").read_bytes() == (
+            tmp_path / "full" / "metrics.jsonl"
+        ).read_bytes()
+
     def test_resume_writes_kept_history_before_the_first_batch(self, tmp_path):
         train_ds, test_ds = blob_sets()
         run = tmp_path / "run"
@@ -247,6 +262,52 @@ class TestDeterminismAndResume:
         assert list(entry) == list(tm.METRIC_KEYS)
         assert entry["epoch"] == 1
         assert 0.0 <= entry["top1"] <= entry["top5"] <= 1.0
+
+
+class TestNonFiniteGradient:
+    """A non-finite parameter gradient aborts the step before it changes
+    anything, so the saved checkpoint is the model after the last good step."""
+
+    def test_abort_saves_the_last_good_step(self, tmp_path, monkeypatch):
+        train_ds, test_ds = blob_sets()
+        run = tmp_path / "run"
+        config = small_config("ltc", epochs=4, out_dir=str(run))
+        steps_per_epoch = len(dm.batches(train_ds, config.hp.batch_size, 0, 0))
+        bad_step = 2 * steps_per_epoch + 5  # the sixth step of epoch 3
+        real_backward = nm.backward
+        seen = {"steps": 0}
+        snapshots = []
+
+        def backward(model, cache, grad_logits, grad_semantic=None):
+            grads = real_backward(model, cache, grad_logits, grad_semantic)
+            seen["model"] = model
+            seen["steps"] += 1
+            if seen["steps"] == bad_step:
+                weight, bias = grads[0]
+                weight = weight.copy()
+                weight[0, 0] = np.inf
+                grads[0] = (weight, bias)
+            return grads
+
+        def hook(epoch, idx, bundle):
+            snapshots.append([
+                (layer.weight.tobytes(), layer.bias.tobytes())
+                for layer in seen["model"].all_layers()
+            ])
+
+        monkeypatch.setattr(nm, "backward", backward)
+        with pytest.raises(TrainingDiverged, match="at epoch 3: parameter gradient") as info:
+            tm.train(config, train_ds, test_ds, batch_hook=hook)
+        assert len(snapshots) == bad_step - 1
+        assert info.value.checkpoint_path == str(run / "ckpt_diverged_last_good.ltck")
+        state = nm.load_checkpoint(info.value.checkpoint_path)
+        assert state.epoch == 2
+        assert [
+            (layer.weight.tobytes(), layer.bias.tobytes())
+            for layer in state.model.all_layers()
+        ] == snapshots[-1]
+        lines = (run / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in lines] == [1, 2]
 
 
 class TornFile:
