@@ -39,12 +39,8 @@ def _resolve_train_config(args) -> dict:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         values[key.strip()] = trainer_mod.parse_setting(key.strip(), value.strip())
-    for flag, key in (
-        ("mode", "mode"), ("seed", "seed"), ("epochs", "epochs"),
-        ("length", "code_length"), ("data", "train_data"),
-        ("test_data", "test_data"), ("out", "out_dir"), ("margin", "margin"),
-    ):
-        v = getattr(args, flag, None)
+    for key in trainer_mod._CONFIG_KEYS:  # each train flag's dest is its config key
+        v = getattr(args, key, None)
         if v is not None:
             values[key] = trainer_mod.parse_setting(key, str(v))
     return values
@@ -225,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["baseline", "htc", "ltc"])
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--length", type=int, help="code length override")
+    p.add_argument("--length", dest="code_length", type=int, help="code length override")
     p.add_argument("--margin", type=float)
-    p.add_argument("--data", help="training CSV")
+    p.add_argument("--data", dest="train_data", help="training CSV")
     p.add_argument("--test-data", dest="test_data", help="test CSV")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--resume", help="checkpoint to resume from")
     p.set_defaults(fn=cmd_train)
 

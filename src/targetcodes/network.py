@@ -284,16 +284,16 @@ class Optimizer:
         return base * self.decay_factor**steps
 
 
+# the Optimizer settings stored as "<ddddd?" in an LTCK file, in file order
+_OPT_SCALARS = ("momentum", "weight_decay", "lr_feature", "lr_new", "lr_codes", "decay_codes")
+# the Optimizer settings init_optimizer copies from same-named Hyperparams fields
+_HP_SETTINGS = (*_OPT_SCALARS[:-1], "decay_epochs", "decay_factor")
+
+
 def init_optimizer(model: ModelParams, hp, decay_codes: bool = True) -> Optimizer:
     """Fresh optimizer with zeroed momentum buffers for ``model``."""
     return Optimizer(
-        momentum=hp.momentum,
-        weight_decay=hp.weight_decay,
-        lr_feature=hp.lr_feature,
-        lr_new=hp.lr_new,
-        lr_codes=hp.lr_codes,
-        decay_epochs=tuple(hp.decay_epochs),
-        decay_factor=hp.decay_factor,
+        **{k: getattr(hp, k) for k in _HP_SETTINGS},
         decay_codes=decay_codes,
         bufs=[(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.all_layers()],
     )
@@ -385,17 +385,7 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     pack_layers([state.model.classifier])
     pack_layers(state.model.encoder)
     opt = state.optimizer
-    parts.append(
-        struct.pack(
-            "<ddddd?",
-            opt.momentum,
-            opt.weight_decay,
-            opt.lr_feature,
-            opt.lr_new,
-            opt.lr_codes,
-            opt.decay_codes,
-        )
-    )
+    parts.append(struct.pack("<ddddd?", *(getattr(opt, k) for k in _OPT_SCALARS)))
     parts.append(struct.pack("<Id", len(opt.decay_epochs), opt.decay_factor))
     for d in opt.decay_epochs:
         parts.append(struct.pack("<I", d))
@@ -452,20 +442,10 @@ def load_checkpoint(path) -> CheckpointState:
     got = [(*l.weight.shape, l.activation) for l in layers]
     if got != layer_specs(*model_dims(model)):
         raise FormatError(f"checkpoint layers {got} do not chain into one model")
-    momentum, weight_decay, lr_f, lr_n, lr_c, decay_codes = rd.unpack("<ddddd?")
-    n_decay, decay_factor = rd.unpack("<Id")
-    decay_epochs = tuple(rd.unpack("<I")[0] for _ in range(n_decay))
-    opt = Optimizer(
-        momentum=momentum,
-        weight_decay=weight_decay,
-        lr_feature=lr_f,
-        lr_new=lr_n,
-        lr_codes=lr_c,
-        decay_epochs=decay_epochs,
-        decay_factor=decay_factor,
-        decay_codes=decay_codes,
-        bufs=[(rd.matrix(), rd.matrix()) for _ in layers],
-    )
+    settings = dict(zip(_OPT_SCALARS, rd.unpack("<ddddd?")))
+    n_decay, settings["decay_factor"] = rd.unpack("<Id")
+    settings["decay_epochs"] = tuple(rd.unpack("<I")[0] for _ in range(n_decay))
+    opt = Optimizer(**settings, bufs=[(rd.matrix(), rd.matrix()) for _ in layers])
     for i, (layer, (bw, bb)) in enumerate(zip(layers, opt.bufs)):
         if (bw.shape, bb.shape) != (layer.weight.shape, layer.bias.shape):
             raise FormatError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
@@ -71,6 +72,9 @@ class TrainConfig:
     train_data: Optional[str] = None
     test_data: Optional[str] = None
 
+    def __post_init__(self):
+        self.feature_widths = tuple(int(w) for w in self.feature_widths)
+
 
 # annotation -> (parser, formatter); the annotations are the strings written
 # in the dataclass bodies, since those modules use postponed evaluation
@@ -111,13 +115,19 @@ def parse_setting(key: str, value: str):
         raise ConfigError(f"bad value {value!r} for {key}") from None
 
 
+def _strip_comment(line: str) -> str:
+    """``line`` cut at a ``#`` that starts it or follows whitespace, stripped."""
+    return re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+
+
 def parse_config_file(path) -> dict:
-    """Read flat `key = value` lines; # starts a comment, blank lines skipped.
-    Unknown keys are rejected."""
+    """Read flat `key = value` lines; blank lines are skipped, and a # at the
+    start of a line or after whitespace starts a comment, so a path may hold
+    one elsewhere. Unknown keys are rejected."""
     values = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _strip_comment(raw)
             if not line:
                 continue
             if "=" not in line:
@@ -137,15 +147,16 @@ def build_config(values: dict) -> TrainConfig:
     return TrainConfig(hp=hp, **{k: v for k, v in values.items() if k not in _HP_KEYS})
 
 
+def _settings(config: TrainConfig) -> dict:
+    """``key -> value`` for every set key of ``config``, in file order."""
+    values = ((k, getattr(config.hp if k in _HP_KEYS else config, k)) for k in _CONFIG_KEYS)
+    return {k: v for k, v in values if v is not None}
+
+
 def format_config(config: TrainConfig) -> str:
     """Render ``config`` as a config file that parses back to an equal
     config; unset optional keys are left out."""
-    lines = []
-    for key, (_, fmt) in _CONFIG_KEYS.items():
-        value = getattr(config.hp if key in _HP_KEYS else config, key)
-        if value is not None:
-            lines.append(f"{key} = {fmt(value)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k} = {_CONFIG_KEYS[k][1](v)}\n" for k, v in _settings(config).items())
 
 
 @dataclass(frozen=True)
@@ -232,6 +243,10 @@ def validate_config(
         raise ConfigError(
             f"train dim {train_ds.X.shape[1]} does not match test dim {test_ds.X.shape[1]}"
         )
+    for key in ("out_dir", "train_data", "test_data"):
+        path = getattr(config, key)
+        if path is not None and (_strip_comment(path) != path or any(c in path for c in "\r\n")):
+            raise ConfigError(f"{key} {path!r} would not read back from resolved.cfg")
 
 
 def _init_bank(config: TrainConfig, num_classes: int) -> codes_mod.CodeBank:
@@ -253,15 +268,8 @@ def _init_bank(config: TrainConfig, num_classes: int) -> codes_mod.CodeBank:
 _RESUMABLE_KEYS = {"epochs", "checkpoint_every", "out_dir", "train_data", "test_data"}
 
 
-def _settings(config: TrainConfig) -> dict[str, str]:
-    """``key -> formatted value`` for every set key of ``config``, parsed
-    once first, so an int given for a float key reads as that float."""
-    settings = dict(line.split(" = ", 1) for line in format_config(config).splitlines())
-    return {key: _CONFIG_KEYS[key][1](parse_setting(key, v)) for key, v in settings.items()}
-
-
-def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict[str, str]:
-    """``key -> formatted value`` of the run that wrote ``resume_from``: a
+def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict:
+    """``key -> value`` of the run that wrote ``resume_from``: a
     ``resolved.cfg`` beside it, if any, overlaid with what the LTCK file
     stores (mode, seed, optimizer settings, the model's dimensions and,
     for a learnable bank, its activation and tanh scale)."""
@@ -274,13 +282,12 @@ def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict
             raise FormatError(f"{cfg_path}: not a readable run config: {exc}") from None
     opt, bank = state.optimizer, state.bank
     # every Optimizer field but the momentum buffers is a config key
-    stored = {f.name: getattr(opt, f.name) for f in fields(opt) if f.name != "bufs"}
-    stored.update(mode=state.mode, seed=state.seed)
-    (_, stored["feature_widths"], stored["num_classes"], stored["encoder_hidden"],
-     stored["code_length"]) = net_mod.model_dims(state.model)
+    recorded.update((f.name, getattr(opt, f.name)) for f in fields(opt) if f.name != "bufs")
+    recorded.update(mode=state.mode, seed=state.seed)
+    (_, recorded["feature_widths"], recorded["num_classes"], recorded["encoder_hidden"],
+     recorded["code_length"]) = net_mod.model_dims(state.model)
     if bank.kind == codes_mod.LEARNABLE:
-        stored.update(activation=bank.activation, tanh_scale=bank.tanh_scale)
-    recorded.update((key, _CONFIG_KEYS[key][1](value)) for key, value in stored.items())
+        recorded.update(activation=bank.activation, tanh_scale=bank.tanh_scale)
     return recorded
 
 
@@ -289,9 +296,10 @@ def _check_resume_state(
 ) -> None:
     """Refuse ``state`` unless ``config`` would continue the same run: a code
     bank, a first layer as wide as the data, every setting of
-    :func:`_recorded_settings` outside ``_RESUMABLE_KEYS`` unchanged, and
-    epochs left to train. :func:`network.load_checkpoint` has already
-    checked the file against itself."""
+    :func:`_recorded_settings` outside ``_RESUMABLE_KEYS`` equal in value (an
+    int given for a float setting matches that float), and epochs left to
+    train. :func:`network.load_checkpoint` has already checked the file
+    against itself."""
     hp = config.hp
     if state.bank is None:
         raise ConfigError("checkpoint is missing the code bank")
@@ -302,7 +310,7 @@ def _check_resume_state(
         )
     wanted = _settings(config)
     changed = [
-        f"{key} {old} -> {wanted[key]}"
+        f"{key} {_CONFIG_KEYS[key][1](old)} -> {_CONFIG_KEYS[key][1](wanted[key])}"
         for key, old in _recorded_settings(state, resume_from).items()
         if key not in _RESUMABLE_KEYS and old != wanted[key]
     ]
@@ -397,7 +405,7 @@ def train(
         bank = _init_bank(config, hp.num_classes)
         model = net_mod.init_model(
             input_dim,
-            tuple(config.feature_widths),
+            config.feature_widths,
             hp.num_classes,
             config.encoder_hidden,
             hp.code_length,
@@ -437,7 +445,7 @@ def train(
     try:
         for epoch in range(start_epoch, hp.epochs):
             tick = time.perf_counter()
-            sums = {"ce": 0.0, "mse": 0.0, "triplet": 0.0, "corr": 0.0, "total": 0.0}
+            sums = (0.0,) * 5  # ce, mse, triplet, corr, total, as EpochMetrics orders them
             seen = 0
             for idx in data_mod.batches(train_ds, hp.batch_size, batch_seed, epoch):
                 xb = train_ds.X[idx]
@@ -450,24 +458,22 @@ def train(
                 grads = net_mod.backward(
                     model, cache, bundle.grad_logits, bundle.grad_semantic
                 )
+                grad_w = None
+                if config.mode == LTC:  # checked before sgd_step changes anything
+                    grad_w = codes_mod.ste_backward(bank, bundle.grad_codes, config.ste_rule)
+                    if not np.isfinite(grad_w).all():
+                        abort("code gradient contains non-finite entries")
                 try:
                     net_mod.sgd_step(optimizer, model, grads, epoch)
-                    if config.mode == LTC:
-                        grad_w = codes_mod.ste_backward(
-                            bank, bundle.grad_codes, config.ste_rule
-                        )
-                        codes_mod.update_codes(
-                            bank, grad_w, optimizer.lr(net_mod.GROUP_CODES, epoch)
-                        )
                 except NumericError as exc:  # grads validated before any mutation
                     abort(str(exc))
+                if grad_w is not None:
+                    codes_mod.update_codes(bank, grad_w, optimizer.lr(net_mod.GROUP_CODES, epoch))
                 nb = len(idx)
                 seen += nb
-                sums["ce"] += bundle.ce * nb
-                sums["mse"] += hp.mse_weight * bundle.mse * nb
-                sums["triplet"] += hp.triplet_weight * bundle.triplet * nb
-                sums["corr"] += hp.corr_weight * bundle.corr * nb
-                sums["total"] += bundle.total * nb
+                terms = (bundle.ce, hp.mse_weight * bundle.mse, hp.triplet_weight * bundle.triplet,
+                         hp.corr_weight * bundle.corr, bundle.total)
+                sums = tuple(acc + t * nb for acc, t in zip(sums, terms))
                 if batch_hook is not None:
                     batch_hook(epoch, idx, bundle)
 
@@ -478,12 +484,8 @@ def train(
                     codes_mod.normalized_correlation(codes_mod.activate(bank))
                 )
                 entry = EpochMetrics(
-                    epoch=epoch_no,
-                    ce=sums["ce"] / seen,
-                    mse=sums["mse"] / seen,
-                    triplet=sums["triplet"] / seen,
-                    corr=sums["corr"] / seen,
-                    total=sums["total"] / seen,
+                    epoch_no,
+                    *(acc / seen for acc in sums),
                     top1=top1,
                     top5=top5,
                     code_corr=code_corr,

@@ -238,6 +238,8 @@ class TestTrain:
         "decay_factor=-1", "decay_factor=0", "decay_factor=nan",
         "seed=-1", "seed=18446744073709551616",
         "decay_epochs=-1", "decay_epochs=4294967296", "checkpoint_every=-1",
+        "activation=foo", "epochs=0", "eval_every=0", "feature_widths=", "epochs=abc",
+        "epochs",
     ])
     def test_out_of_range_setting_exit_2(self, tmp_path, blob_csvs, capsys, setting):
         train, test = blob_csvs
@@ -250,6 +252,72 @@ class TestTrain:
     def test_missing_data_exit_2(self, tmp_path):
         assert run_cli("train", "--mode", "baseline",
                        "--out", str(tmp_path / "r")) == 2
+
+    # refusals whose message does not name the key, or (mode) that a flag
+    # would override in test_out_of_range_setting_exit_2
+    @pytest.mark.parametrize("setting, message", [
+        ("mode=foo", "unknown mode 'foo'"),
+        ("ste_rule=foo", "unknown STE rule 'foo'"),
+        ("batch_size=0", "batch size must be positive, got 0"),
+    ])
+    def test_refused_setting_exit_2(self, tmp_path, blob_csvs, capsys, setting, message):
+        train, test = blob_csvs
+        code = run_cli(*self.train_args(tmp_path, train, test, "--set", setting))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("classes, dim, message", [
+        (5, 8, "test labels reach 4, config has 4 classes"),
+        (4, 6, "train dim 8 does not match test dim 6"),
+    ], ids=["label_beyond_classes", "other_width"])
+    def test_refused_test_data_exit_2(self, tmp_path, blob_csvs, capsys, classes, dim, message):
+        train, _ = blob_csvs
+        other = tmp_path / "other.csv"
+        assert run_cli("make-data", "--kind", "blobs", "--classes", str(classes),
+                       "--dim", str(dim), "--groups", "1", "--per-class", "5",
+                       "--out", str(other)) == 0
+        capsys.readouterr()
+        assert run_cli(*self.train_args(tmp_path, train, other)) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_resume_from_a_checkpoint_without_a_bank_exit_2(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        base = self.train_args(tmp_path, train, test, "--mode", "ltc",
+                               "--set", "checkpoint_every=2")
+        assert run_cli(*base) == 0
+        state = network.load_checkpoint(tmp_path / "run" / "ckpt_epoch2.ltck")
+        state.bank = None
+        ckpt = tmp_path / "no_bank.ltck"
+        network.save_checkpoint(ckpt, state)
+        capsys.readouterr()
+        resumed = tmp_path / "resumed"
+        assert run_cli(*base, "--out", str(resumed), "--resume", str(ckpt)) == 2
+        assert "checkpoint is missing the code bank" in capsys.readouterr().err
+        assert not resumed.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("out_dir", "r #1"), ("out_dir", "#r"), ("out_dir", "r "), ("out_dir", " r"),
+        ("out_dir", "r\n2"), ("out_dir", "r\r2"), ("train_data", "a #b.csv"),
+        ("test_data", "a\tb.csv "),
+    ])
+    def test_path_that_resolved_cfg_cannot_hold_exit_2(
+        self, tmp_path, blob_csvs, capsys, monkeypatch, key, value
+    ):
+        # relative paths, so a wrongly accepted run stays inside tmp_path
+        train, test = blob_csvs
+        monkeypatch.chdir(tmp_path)
+        paths = {"out_dir": "run", "train_data": train.name, "test_data": test.name}
+        if key != "out_dir":
+            shutil.copy(paths[key], value)
+        paths[key] = value
+        before = sorted(tmp_path.iterdir())
+        code = run_cli(*self.train_args(tmp_path, paths["train_data"], paths["test_data"],
+                                        "--out", paths["out_dir"]))
+        assert code == 2
+        assert f"{key} {value!r} would not read back from resolved.cfg" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_3(self, tmp_path, blob_csvs, capsys):

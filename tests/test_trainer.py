@@ -1,6 +1,7 @@
 """Training-branch behavior, evaluation, retrieval, correlation export,
 checkpoint resumption, and run determinism."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from targetcodes import codes as cm
 from targetcodes import data as dm
+from targetcodes import losses as lm
 from targetcodes import network as nm
 from targetcodes import trainer as tm
 from targetcodes.core import Rng, derive_seed
@@ -124,6 +126,17 @@ class TestTrainBranches:
         for layer in state.model.all_layers():
             assert np.isfinite(layer.weight).all()
 
+    def test_no_datasets_and_no_paths_refused(self, tmp_path):
+        train_ds, _ = blob_sets()
+        config = small_config("ltc", out_dir=str(tmp_path / "r"))
+        with pytest.raises(ConfigError, match="no training dataset"):
+            tm.train(config)
+        config.train_data = str(tmp_path / "train.csv")
+        dm.save_csv(train_ds, config.train_data)
+        with pytest.raises(ConfigError, match="no test dataset"):
+            tm.train(config)
+        assert not (tmp_path / "r").exists()
+
     def test_config_validation_before_compute(self):
         train_ds, test_ds = blob_sets()
         bad = small_config("htc", code_length=500)  # not a power of two
@@ -215,6 +228,18 @@ class TestDeterminismAndResume:
         result = tm.train(cfg, train_ds, test_ds, resume_from=str(run / "ckpt_epoch2.ltck"))
         assert [m.epoch for m in result.metrics] == [3, 4]
 
+    def test_resume_accepts_a_list_of_widths_and_an_int_margin(self, tmp_path):
+        # resume compares values: [8] is the (8,) of the checkpoint, 16 its 16.0
+        train_ds, test_ds = blob_sets()
+        run = tmp_path / "run"
+        hp = small_config("ltc", epochs=4, margin=16).hp
+        cfg = tm.TrainConfig(mode="ltc", hp=hp, feature_widths=[8], encoder_hidden=32,
+                             checkpoint_every=2, out_dir=str(run))
+        assert cfg.feature_widths == (8,)
+        tm.train(cfg, train_ds, test_ds)
+        result = tm.train(cfg, train_ds, test_ds, resume_from=str(run / "ckpt_epoch2.ltck"))
+        assert [m.epoch for m in result.metrics] == [3, 4]
+
     def test_resume_rejects_mismatched_dims(self, tmp_path):
         train_ds, test_ds = blob_sets()
         cfg = small_config("ltc", epochs=4, out_dir=str(tmp_path / "src"))
@@ -252,6 +277,15 @@ class TestDeterminismAndResume:
         assert "train_data" not in settings  # unset keys are left out
         assert tm.build_config(settings) == config
 
+    def test_resolved_cfg_keeps_a_hash_inside_a_path(self, tmp_path):
+        train_ds, test_ds = blob_sets()
+        run = tmp_path / "runs" / "#2"
+        tm.train(small_config("ltc", epochs=1, out_dir=str(run)), train_ds, test_ds)
+        assert tm.parse_config_file(run / "resolved.cfg")["out_dir"] == str(run)
+        cfg = tmp_path / "hand.cfg"
+        cfg.write_text("# a comment line\nout_dir = runs/#2\t# where it goes\n")
+        assert tm.parse_config_file(cfg) == {"out_dir": "runs/#2"}
+
     def test_metrics_jsonl_schema(self, tmp_path):
         train_ds, test_ds = blob_sets()
         config = small_config("ltc", epochs=2, out_dir=str(tmp_path / "m"))
@@ -265,8 +299,9 @@ class TestDeterminismAndResume:
 
 
 class TestNonFiniteGradient:
-    """A non-finite parameter gradient aborts the step before it changes
-    anything, so the saved checkpoint is the model after the last good step."""
+    """A non-finite parameter or code gradient aborts the step before it
+    changes anything, so the saved checkpoint is the state after the last
+    good step."""
 
     def test_abort_saves_the_last_good_step(self, tmp_path, monkeypatch):
         train_ds, test_ds = blob_sets()
@@ -308,6 +343,56 @@ class TestNonFiniteGradient:
         ] == snapshots[-1]
         lines = (run / "metrics.jsonl").read_text().splitlines()
         assert [json.loads(line)["epoch"] for line in lines] == [1, 2]
+
+    def test_bad_code_gradient_leaves_the_last_good_step(self, tmp_path, monkeypatch):
+        # the parameter gradients of the bad step are finite: only its code
+        # gradient is not, so the model, momentum and bank must not take it
+        train_ds, test_ds = blob_sets()
+        run = tmp_path / "run"
+        config = small_config("ltc", epochs=2, out_dir=str(run))
+        made = {}
+        real_compose, real_init_optimizer, real_init_bank = (
+            lm.compose_objective, nm.init_optimizer, tm._init_bank
+        )
+
+        def compose_objective(*args, **kwargs):
+            bundle = real_compose(*args, **kwargs)
+            made["steps"] = made.get("steps", 0) + 1
+            if made["steps"] == 5:
+                grad_codes = bundle.grad_codes.copy()
+                grad_codes[0, 0] = np.nan
+                bundle = dataclasses.replace(bundle, grad_codes=grad_codes)
+            return bundle
+
+        def init_optimizer(model, hp, **kwargs):
+            made["model"] = model
+            made["optimizer"] = real_init_optimizer(model, hp, **kwargs)
+            return made["optimizer"]
+
+        def init_bank(config, num_classes):
+            made["bank"] = real_init_bank(config, num_classes)
+            return made["bank"]
+
+        def state_bytes(model, optimizer, bank):
+            return (
+                [(layer.weight.tobytes(), layer.bias.tobytes()) for layer in model.all_layers()],
+                [(bw.tobytes(), bb.tobytes()) for bw, bb in optimizer.bufs],
+                bank.weights.tobytes(),
+            )
+
+        snapshots = []
+
+        def hook(epoch, idx, bundle):
+            snapshots.append(state_bytes(made["model"], made["optimizer"], made["bank"]))
+
+        monkeypatch.setattr(lm, "compose_objective", compose_objective)
+        monkeypatch.setattr(nm, "init_optimizer", init_optimizer)
+        monkeypatch.setattr(tm, "_init_bank", init_bank)
+        with pytest.raises(TrainingDiverged, match="at epoch 1: code gradient") as info:
+            tm.train(config, train_ds, test_ds, batch_hook=hook)
+        assert len(snapshots) == 4
+        state = nm.load_checkpoint(info.value.checkpoint_path)
+        assert state_bytes(state.model, state.optimizer, state.bank) == snapshots[-1]
 
 
 class TornFile:
