@@ -258,13 +258,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.checkpoint_path:
-            print(f"last good checkpoint: {exc.checkpoint_path}", file=sys.stderr)
-        return 3
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, TrainingDiverged) and exc.checkpoint_path:
+            print(f"last good checkpoint: {exc.checkpoint_path}", file=sys.stderr)
         return 3
     except (TargetCodesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -325,20 +325,6 @@ def _check_resume_state(
         )
 
 
-def _save_state(path, config, epoch, model, optimizer, bank) -> str:
-    state = net_mod.CheckpointState(
-        mode=config.mode,
-        seed=config.hp.seed,
-        rng_state=derive_seed(config.hp.seed, STREAM_BATCHES),
-        epoch=epoch,
-        model=model,
-        optimizer=optimizer,
-        bank=bank,
-    )
-    net_mod.save_checkpoint(path, state)
-    return str(path)
-
-
 def _metrics_through(path, epoch: int) -> list[bytes]:
     """The complete lines of an existing metrics file up to ``epoch``, so a
     run resumed into its own directory keeps its history. A complete line
@@ -431,51 +417,51 @@ def train(
     regularized = config.mode in (HTC, LTC)
     result = TrainResult(model=model, bank=bank, optimizer=optimizer)
 
-    def abort(reason: str) -> None:
-        path = None
-        if out_dir is not None:
-            path = _save_state(
-                os.path.join(out_dir, "ckpt_diverged_last_good.ltck"),
-                config, epoch, model, optimizer, bank,
-            )
-        if metrics_fh is not None:
-            metrics_fh.close()
-        raise TrainingDiverged(f"training diverged at epoch {epoch + 1}: {reason}", path)
+    def save(name: str, epoch: int) -> str:
+        path = os.path.join(out_dir, name)
+        net_mod.save_checkpoint(path, net_mod.CheckpointState(
+            mode=config.mode, seed=hp.seed, rng_state=batch_seed, epoch=epoch,
+            model=model, optimizer=optimizer, bank=bank,
+        ))
+        return path
 
     try:
         for epoch in range(start_epoch, hp.epochs):
             tick = time.perf_counter()
             sums = (0.0,) * 5  # ce, mse, triplet, corr, total, as EpochMetrics orders them
             seen = 0
-            for idx in data_mod.batches(train_ds, hp.batch_size, batch_seed, epoch):
-                xb = train_ds.X[idx]
-                yb = train_ds.y[idx]
-                _, logits, v, cache = net_mod.forward(model, xb, semantic=regularized)
-                s = codes_mod.activate(bank) if regularized else None
-                bundle = losses_mod.compose_objective(config.mode, hp, logits, v, s, yb)
-                if not np.isfinite(bundle.total):
-                    abort(f"non-finite loss {bundle.total}")
-                grads = net_mod.backward(
-                    model, cache, bundle.grad_logits, bundle.grad_semantic
-                )
-                grad_w = None
-                if config.mode == LTC:  # checked before sgd_step changes anything
-                    grad_w = codes_mod.ste_backward(bank, bundle.grad_codes, config.ste_rule)
-                    if not np.isfinite(grad_w).all():
-                        abort("code gradient contains non-finite entries")
-                try:
+            # a step checks everything before it changes anything, so a NumericError
+            # here leaves the model, its momentum and the bank at the last good step
+            try:
+                for idx in data_mod.batches(train_ds, hp.batch_size, batch_seed, epoch):
+                    xb = train_ds.X[idx]
+                    yb = train_ds.y[idx]
+                    _, logits, v, cache = net_mod.forward(model, xb, semantic=regularized)
+                    s = codes_mod.activate(bank) if regularized else None
+                    bundle = losses_mod.compose_objective(config.mode, hp, logits, v, s, yb)
+                    if not np.isfinite(bundle.total):
+                        raise NumericError(f"non-finite loss {bundle.total}")
+                    grads = net_mod.backward(model, cache, bundle.grad_logits, bundle.grad_semantic)
+                    if config.mode == LTC:
+                        grad_w = codes_mod.ste_backward(bank, bundle.grad_codes, config.ste_rule)
+                        if not np.isfinite(grad_w).all():
+                            raise NumericError("code gradient contains non-finite entries")
                     net_mod.sgd_step(optimizer, model, grads, epoch)
-                except NumericError as exc:  # grads validated before any mutation
-                    abort(str(exc))
-                if grad_w is not None:
-                    codes_mod.update_codes(bank, grad_w, optimizer.lr(net_mod.GROUP_CODES, epoch))
-                nb = len(idx)
-                seen += nb
-                terms = (bundle.ce, hp.mse_weight * bundle.mse, hp.triplet_weight * bundle.triplet,
-                         hp.corr_weight * bundle.corr, bundle.total)
-                sums = tuple(acc + t * nb for acc, t in zip(sums, terms))
-                if batch_hook is not None:
-                    batch_hook(epoch, idx, bundle)
+                    if config.mode == LTC:
+                        codes_mod.update_codes(
+                            bank, grad_w, optimizer.lr(net_mod.GROUP_CODES, epoch)
+                        )
+                    nb = len(idx)
+                    seen += nb
+                    terms = (bundle.ce, hp.mse_weight * bundle.mse,
+                             hp.triplet_weight * bundle.triplet,
+                             hp.corr_weight * bundle.corr, bundle.total)
+                    sums = tuple(acc + t * nb for acc, t in zip(sums, terms))
+                    if batch_hook is not None:
+                        batch_hook(epoch, idx, bundle)
+            except NumericError as exc:
+                path = None if out_dir is None else save("ckpt_diverged_last_good.ltck", epoch)
+                raise TrainingDiverged(f"training diverged at epoch {epoch + 1}: {exc}", path)
 
             epoch_no = epoch + 1
             if epoch_no % config.eval_every == 0 or epoch_no == hp.epochs:
@@ -508,15 +494,9 @@ def train(
                 and config.checkpoint_every > 0
                 and epoch_no % config.checkpoint_every == 0
             ):
-                _save_state(
-                    os.path.join(out_dir, f"ckpt_epoch{epoch_no}.ltck"),
-                    config, epoch_no, model, optimizer, bank,
-                )
+                save(f"ckpt_epoch{epoch_no}.ltck", epoch_no)
         if out_dir is not None:
-            result.final_checkpoint = _save_state(
-                os.path.join(out_dir, "ckpt_final.ltck"),
-                config, hp.epochs, model, optimizer, bank,
-            )
+            result.final_checkpoint = save("ckpt_final.ltck", hp.epochs)
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
