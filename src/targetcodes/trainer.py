@@ -48,6 +48,13 @@ _RECALL_DEPTHS = (1, 2, 4, 8)
 
 METRIC_KEYS = ("epoch", "ce", "mse", "triplet", "corr", "total", "top1", "top5", "code_corr")
 
+# the temporary file core.atomic_open leaves beside a run file when a run is
+# killed mid-write
+_STALE_RUN_TMP = re.compile(
+    r"(resolved\.cfg|metrics\.jsonl|corr_(init|epoch\d+)\.csv"
+    r"|ckpt_(epoch\d+|final|diverged_last_good)\.ltck)\.\d+\.tmp"
+)
+
 
 @dataclass
 class TrainConfig:
@@ -365,9 +372,13 @@ def train(
     ``eval_every`` cadence using only the inference path (trunk+classifier).
 
     Nothing under ``out_dir`` changes until the config and the resume
-    checkpoint have passed their checks; then ``resolved.cfg`` records the
-    config. A resumed run keeps the ``metrics.jsonl`` lines up to the
+    checkpoint have passed their checks; then the temporary files a killed
+    run left beside its run files are removed, and ``resolved.cfg`` records
+    the config. A resumed run keeps the ``metrics.jsonl`` lines up to the
     checkpoint's epoch and the ``corr_init.csv`` already in ``out_dir``.
+    A NumericError met in a step (a non-finite loss or gradient, or one a
+    ``batch_hook`` raises) ends the run as TrainingDiverged, after saving
+    ``ckpt_diverged_last_good.ltck`` with the state after the last good step.
     """
     if train_ds is None:
         if not config.train_data:
@@ -405,6 +416,9 @@ def train(
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         kept = [] if resume_from is None else _metrics_through(metrics_path, start_epoch)
         os.makedirs(out_dir, exist_ok=True)
+        for name in os.listdir(out_dir):
+            if _STALE_RUN_TMP.fullmatch(name):
+                os.remove(os.path.join(out_dir, name))
         with atomic_open(os.path.join(out_dir, "resolved.cfg")) as fh:
             fh.write(format_config(config))
         with atomic_open(metrics_path, "wb") as fh:
@@ -599,10 +613,3 @@ def export_code_correlation(bank: codes_mod.CodeBank, path) -> None:
     with atomic_open(path) as fh:
         for row in corr:
             fh.write(",".join("%.6f" % v for v in row) + "\n")
-
-
-def read_correlation_csv(path) -> np.ndarray:
-    """Read a matrix written by :func:`export_code_correlation`."""
-    with open(path) as fh:
-        rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    return np.array(rows)

@@ -245,9 +245,9 @@ def test_c06_orthogonality_pressure(tmp_path):
         tm.train(config, train, test)
         run_dir = tmp_path / f"s{seed}"
         initial = cm.mean_abs_off_diagonal(
-            tm.read_correlation_csv(run_dir / "corr_init.csv"))
+            np.loadtxt(run_dir / "corr_init.csv", delimiter=",", ndmin=2))
         final = cm.mean_abs_off_diagonal(
-            tm.read_correlation_csv(run_dir / "corr_epoch40.csv"))
+            np.loadtxt(run_dir / "corr_epoch40.csv", delimiter=",", ndmin=2))
         reductions.append(1.0 - final / initial)
     mean_reduction = float(np.mean(reductions))
     detail = "reductions " + " ".join(f"{r:.0%}" for r in reductions)

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from targetcodes import cli
 from targetcodes.codes import init_learnable_codes, select_hadamard_codes
-from targetcodes.core import Rng, finite_diff_check
+from targetcodes.core import Rng, finite_diff_check, pack_matrix
+from targetcodes.data import Dataset, save_csv
 from targetcodes.errors import (
     DimensionError,
     FormatError,
@@ -252,6 +254,17 @@ class TestOptimizer:
         for layer, prev in zip(model.all_layers(), before):
             np.testing.assert_array_equal(layer.weight, prev)
 
+    def test_gradient_count_unlike_the_model_rejected(self):
+        model = toy_model(28)
+        opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
+        _, logits, v, cache = forward(model, Rng(29).normals(2, 8))
+        grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
+        before = [l.weight.copy() for l in model.all_layers()]
+        with pytest.raises(DimensionError, match="gradient count"):
+            sgd_step(opt, model, grads[:-1], 0)
+        for layer, prev in zip(model.all_layers(), before):
+            np.testing.assert_array_equal(layer.weight, prev)
+
 
 class TestInitModel:
     def test_same_seed_identical(self):
@@ -435,3 +448,35 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="activation"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode", 7, "unknown mode code 7"),
+        ("feature_activation", 7, "unknown activation code 7"),
+        ("classifier_count", 0, "exactly one classifier layer"),
+    ])
+    def test_patched_header_field_rejected(self, tmp_path, capsys, field, value, message):
+        # after the magic and u32 version: u32 mode at byte 8, then the rest
+        # of the 32-byte header, the u32 feature layer count and the first
+        # layer's u8 activation; the classifier group's u32 count follows
+        # the feature layers
+        state = self.build_state()
+        path = tmp_path / "patched.ltck"
+        save_checkpoint(path, state)
+        raw = bytearray(path.read_bytes())
+        feature_bytes = sum(
+            1 + len(pack_matrix(l.weight)) + len(pack_matrix(l.bias)) for l in state.model.feature
+        )
+        fmt, at, was = {
+            "mode": ("<I", 8, 2),
+            "feature_activation": ("<B", 36, 0),
+            "classifier_count": ("<I", 36 + feature_bytes, 1),
+        }[field]
+        assert struct.unpack_from(fmt, raw, at) == (was,)
+        struct.pack_into(fmt, raw, at, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+        data = tmp_path / "data.csv"
+        save_csv(Dataset(np.zeros((3, 8)), np.arange(3)), data)
+        assert cli.main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+        assert message in capsys.readouterr().err

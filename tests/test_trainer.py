@@ -5,6 +5,9 @@ import dataclasses
 import errno
 import json
 import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +33,11 @@ def blob_sets(seed=3, classes=8, per_class=160, test_per_class=30, spread=1.5):
     rng = Rng(derive_seed(seed, 100))
     ds = dm.make_blobs(classes, 16, 2, per_class, spread, 6.0, rng)
     return dm.split_per_class(ds, test_per_class)
+
+
+def read_correlation_csv(path):
+    """Read a matrix written by ``trainer.export_code_correlation``."""
+    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def small_config(mode, seed=3, epochs=12, out_dir=None, **hp_kw):
@@ -200,6 +208,25 @@ class TestDeterminismAndResume:
         assert (run / "metrics.jsonl").read_bytes() == (
             tmp_path / "full" / "metrics.jsonl"
         ).read_bytes()
+
+    def test_stale_temporary_files_of_run_files_removed(self, tmp_path):
+        # what core.atomic_open leaves behind when a run is killed mid-write
+        train_ds, test_ds = blob_sets()
+        run = tmp_path / "run"
+        run.mkdir()
+        stale = [
+            "resolved.cfg.7.tmp", "metrics.jsonl.12.tmp", "corr_init.csv.3.tmp",
+            "corr_epoch2.csv.44.tmp", "ckpt_epoch3.ltck.123.tmp", "ckpt_final.ltck.9.tmp",
+            "ckpt_diverged_last_good.ltck.5.tmp",
+        ]
+        others = [
+            "notes.txt.7.tmp", "bank.ltcb.8.tmp", "ckpt_epoch3.ltck.tmp",
+            "ckpt_epoch3.ltck.x1.tmp", "ckpt_epochs.ltck.2.tmp", "my_metrics.jsonl.3.tmp",
+        ]
+        for name in stale + others:
+            (run / name).write_text("partial")
+        tm.train(small_config("ltc", epochs=1, out_dir=str(run)), train_ds, test_ds)
+        assert sorted(p.name for p in run.glob("*.tmp")) == sorted(others)
 
     def test_resume_writes_kept_history_before_the_first_batch(self, tmp_path):
         train_ds, test_ds = blob_sets()
@@ -393,6 +420,116 @@ class TestNonFiniteGradient:
         assert len(snapshots) == 4
         state = nm.load_checkpoint(info.value.checkpoint_path)
         assert state_bytes(state.model, state.optimizer, state.bank) == snapshots[-1]
+
+    def test_numeric_error_from_a_batch_hook_is_a_divergence(self, tmp_path):
+        train_ds, test_ds = blob_sets()
+        run = tmp_path / "run"
+        config = small_config("ltc", epochs=3, out_dir=str(run))
+
+        def hook(epoch, idx, bundle):
+            if epoch == 1:
+                raise NumericError("the hook saw a NaN")
+
+        with pytest.raises(TrainingDiverged, match="at epoch 2: the hook saw a NaN") as info:
+            tm.train(config, train_ds, test_ds, batch_hook=hook)
+        assert info.value.checkpoint_path == str(run / "ckpt_diverged_last_good.ltck")
+        assert nm.load_checkpoint(info.value.checkpoint_path).epoch == 1
+
+    def test_numeric_error_in_evaluation_is_not_a_divergence(self, tmp_path, monkeypatch):
+        # only a step's faults end in the divergence checkpoint
+        train_ds, test_ds = blob_sets()
+        run = tmp_path / "run"
+
+        def evaluate(model, ds):
+            raise NumericError("NaN logit in evaluation")
+
+        monkeypatch.setattr(tm, "evaluate", evaluate)
+        with pytest.raises(NumericError, match="NaN logit") as info:
+            tm.train(small_config("ltc", epochs=2, out_dir=str(run)), train_ds, test_ds)
+        assert not isinstance(info.value, TrainingDiverged)
+        assert not (run / "ckpt_diverged_last_good.ltck").exists()
+
+
+# Trains the run of the config file argv[1] and SIGKILLs itself at argv[2]:
+# "replace" inside the os.replace that would put ckpt_epoch3.ltck in place,
+# "hook" at the third step of epoch 5.
+KILLED_RUN = """
+import os, signal, sys
+from targetcodes import trainer as tm
+
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+real_replace = os.replace
+
+def replace(src, dst):
+    if os.path.basename(dst) == "ckpt_epoch3.ltck":
+        die()
+    real_replace(src, dst)
+
+hook = None
+if sys.argv[2] == "replace":
+    os.replace = replace
+else:
+    steps = []
+    def hook(epoch, idx, bundle):
+        steps.append(epoch)
+        if steps.count(4) == 3:
+            die()
+tm.train(tm.build_config(tm.parse_config_file(sys.argv[1])), batch_hook=hook)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+class TestKillAndResume:
+    """A run killed at a fixed point and resumed from its newest epoch
+    checkpoint into the same directory leaves the files of an uninterrupted
+    run, and no temporary file."""
+
+    @pytest.fixture(scope="class")
+    def full_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("kill")
+        train_ds, test_ds = blob_sets(per_class=60, test_per_class=20)
+        dm.save_csv(train_ds, root / "train.csv")
+        dm.save_csv(test_ds, root / "test.csv")
+        config = small_config("ltc", epochs=6, out_dir=str(root / "full"))
+        config.checkpoint_every = 1
+        config.train_data, config.test_data = str(root / "train.csv"), str(root / "test.csv")
+        tm.train(config)
+        return root, config
+
+    @pytest.mark.parametrize("point, newest", [("replace", 2), ("hook", 4)])
+    def test_resume_after_a_kill_matches_an_uninterrupted_run(self, full_run, point, newest):
+        root, config = full_run
+        run = root / point
+        config = dataclasses.replace(config, out_dir=str(run))
+        cfg_path = root / f"{point}.cfg"
+        cfg_path.write_text(tm.format_config(config))
+        src = os.path.dirname(os.path.dirname(tm.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        killed = subprocess.run(
+            [sys.executable, "-c", KILLED_RUN, str(cfg_path), point], env=env, timeout=120
+        )
+        assert killed.returncode == -signal.SIGKILL
+        if point == "replace":
+            assert len(list(run.glob("ckpt_epoch3.ltck.*.tmp"))) == 1
+        checkpoints = sorted(
+            int(p.name[len("ckpt_epoch"):-len(".ltck")]) for p in run.glob("ckpt_epoch*.ltck")
+        )
+        assert checkpoints[-1] == newest
+        tm.train(config, resume_from=str(run / f"ckpt_epoch{newest}.ltck"))
+        names = sorted(os.listdir(root / "full"))
+        assert sorted(os.listdir(run)) == names
+        for name in names:
+            want, got = (root / "full" / name).read_bytes(), (run / name).read_bytes()
+            if name == "resolved.cfg":
+                want, got = (
+                    [line for line in b.splitlines() if not line.startswith(b"out_dir =")]
+                    for b in (want, got)
+                )
+            assert got == want, name
 
 
 class TornFile:
@@ -665,7 +802,7 @@ class TestCorrelationExport:
         bank = cm.select_hadamard_codes(16, 8, Rng(62))
         path = tmp_path / "corr.csv"
         tm.export_code_correlation(bank, path)
-        corr = tm.read_correlation_csv(path)
+        corr = read_correlation_csv(path)
         assert corr.shape == (8, 8)
         assert np.array_equal(np.diag(corr), np.ones(8))
         off = corr[~np.eye(8, dtype=bool)]
@@ -677,7 +814,7 @@ class TestCorrelationExport:
         tm.export_code_correlation(bank, path)
         lines = path.read_text().splitlines()
         assert len(lines) == 5
-        corr = tm.read_correlation_csv(path)
+        corr = read_correlation_csv(path)
         assert np.array_equal(np.diag(corr), np.ones(5))
         assert np.abs(corr).max() <= 1.0
 
