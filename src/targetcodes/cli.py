@@ -163,9 +163,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_eval(args) -> int:
     state = net_mod.load_checkpoint(args.checkpoint)
     ds = data_mod.load_csv(args.data)
-    # one forward for both scores: trainer.evaluate and trainer.retrieval_eval
-    # would each run their own
-    z, logits = net_mod.forward(state.model, ds.X, semantic=False)[:2]
+    # one blocked forward for both scores: trainer.evaluate and
+    # trainer.retrieval_eval would each run their own
+    z, logits = trainer_mod._infer(state.model, ds.X)
     top1, top5 = trainer_mod._top_k(logits, ds.y)
     # score everything before printing, so a refused command prints nothing
     report = trainer_mod._recall_at(z, ds.y) if args.retrieval else None

@@ -265,17 +265,16 @@ def load_bank(path) -> CodeBank:
     """Read an LTCB file written by :func:`save_bank`. Version 1 files,
     which did not store the activation, load as sign banks."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _BANK_MAGIC:
-        raise FormatError(f"not a code bank file (bad magic {raw[:4]!r})")
-    rd = Reader(raw, "code bank")
-    rd.take(4)
-    (version,) = rd.unpack("<I")
-    if version == 1:
-        bank = _read_bank_v1(rd)
-    elif version == _BANK_VERSION:
-        bank = read_bank(rd)
-    else:
-        raise VersionError(f"unsupported code bank version {version}")
-    rd.finish()
+        magic = fh.read(4)
+        if magic != _BANK_MAGIC:
+            raise FormatError(f"not a code bank file (bad magic {magic!r})")
+        rd = Reader(fh, "code bank")
+        (version,) = rd.unpack("<I")
+        if version == 1:
+            bank = _read_bank_v1(rd)
+        elif version == _BANK_VERSION:
+            bank = read_bank(rd)
+        else:
+            raise VersionError(f"unsupported code bank version {version}")
+        rd.finish()
     return bank

@@ -3,7 +3,7 @@ RNG, and a finite-difference gradient checker.
 
 Matrices are plain 2-D C-contiguous ``numpy.ndarray`` objects with dtype
 float64. The binary formats (code banks, checkpoints) share one matrix
-encoding and one bounds-checked reader. The RNG is splitmix64, chosen over
+encoding and one bounds-checked file reader. The RNG is splitmix64, chosen over
 the platform default so that a seed reproduces the same stream on every
 machine; its bulk methods draw the stream with numpy ``uint64`` arithmetic
 and reproduce the scalar methods bit for bit. Every file the package writes
@@ -52,19 +52,27 @@ def pack_matrix(a: Matrix) -> bytes:
 
 
 class Reader:
-    """Sequential reader over the bytes of a ``what`` file (e.g. "checkpoint");
-    running past the end raises FormatError."""
+    """Sequential reader over an open binary ``what`` file (e.g.
+    "checkpoint"), from its current position. Every read is checked against
+    the bytes left in the file before anything is read or allocated, so
+    running past the end raises FormatError and a header that claims more
+    data than the file holds allocates nothing."""
 
-    def __init__(self, raw: bytes, what: str):
-        self.raw = raw
+    def __init__(self, fh: IO[bytes], what: str):
+        self.fh = fh
         self.what = what
-        self.pos = 0
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def _claim(self, n: int) -> None:
+        if n > self.left:
+            raise FormatError(f"truncated {self.what} file")
+        self.left -= n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
+        self._claim(n)
+        out = self.fh.read(n)
+        if len(out) != n:  # the file shrank while it was read
             raise FormatError(f"truncated {self.what} file")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
         return out
 
     def unpack(self, fmt: str):
@@ -77,15 +85,18 @@ class Reader:
 
     def floats(self, rows: int, cols: int) -> Matrix:
         """Read ``rows * cols`` f64 values as a matrix; NaN or infinity
-        raises FormatError."""
-        data = np.frombuffer(self.take(8 * rows * cols), dtype="<f8").astype(np.float64)
+        raises FormatError. The file is read straight into the array."""
+        self._claim(8 * rows * cols)
+        data = np.empty((rows, cols), dtype="<f8")
+        if self.fh.readinto(data) != data.nbytes:
+            raise FormatError(f"truncated {self.what} file")
         if not np.isfinite(data).all():
             raise FormatError(f"non-finite value in {self.what} file")
-        return data.reshape(rows, cols)
+        return data.astype(np.float64, copy=False)
 
     def finish(self) -> None:
         """Reject bytes left over after the last field."""
-        if self.pos != len(self.raw):
+        if self.left:
             raise FormatError(f"trailing bytes after {self.what} payload")
 
 

@@ -94,10 +94,10 @@ def _layer_forward(layer: DenseLayer, x: Matrix) -> Matrix:
 
 
 def _layer_backward(
-    layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix
-) -> tuple[Matrix, Matrix, Matrix]:
-    """Returns (grad_weight, grad_bias, grad_input). ReLU derivative at
-    exactly zero is zero."""
+    layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix, need_input: bool = True
+) -> tuple[Matrix, Matrix, Optional[Matrix]]:
+    """Returns (grad_weight, grad_bias, grad_input); grad_input is None
+    when ``need_input`` is False. ReLU derivative at exactly zero is zero."""
     if layer.activation == RELU:
         grad_pre = grad_out * (out > 0.0)
     elif layer.activation == TANH:
@@ -106,7 +106,7 @@ def _layer_backward(
         grad_pre = grad_out
     gw = x.T @ grad_pre
     gb = grad_pre.sum(axis=0, keepdims=True)
-    return gw, gb, grad_pre @ layer.weight.T
+    return gw, gb, grad_pre @ layer.weight.T if need_input else None
 
 
 def layer_specs(
@@ -245,7 +245,8 @@ def backward(
         grad_z = grad_z + g
     g = grad_z
     for i in range(n - 1, -1, -1):
-        gw, gb, g = _layer_backward(layers[i], *cache.io[i], g)
+        # nothing reads the gradient of the model's input
+        gw, gb, g = _layer_backward(layers[i], *cache.io[i], g, need_input=i > 0)
         grads[i] = (gw, gb)
     return grads
 
@@ -408,53 +409,52 @@ def load_checkpoint(path) -> CheckpointState:
     momentum buffers or a bank shaped unlike the model, or a bank kind
     that does not follow the mode (Hadamard exactly in ``htc``)."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 or raw[:4] != _CKPT_MAGIC:
-        raise FormatError(f"not a checkpoint file (bad magic {raw[:4]!r})")
-    rd = Reader(raw, "checkpoint")
-    rd.take(4)
-    (version,) = rd.unpack("<I")
-    if version != _CKPT_VERSION:
-        raise VersionError(f"unsupported checkpoint version {version}")
-    mode_code, seed, rng_state, epoch = rd.unpack("<IQQI")
-    if mode_code not in _MODE_NAMES:
-        raise FormatError(f"unknown mode code {mode_code}")
+        magic = fh.read(4)
+        if magic != _CKPT_MAGIC:
+            raise FormatError(f"not a checkpoint file (bad magic {magic!r})")
+        rd = Reader(fh, "checkpoint")
+        (version,) = rd.unpack("<I")
+        if version != _CKPT_VERSION:
+            raise VersionError(f"unsupported checkpoint version {version}")
+        mode_code, seed, rng_state, epoch = rd.unpack("<IQQI")
+        if mode_code not in _MODE_NAMES:
+            raise FormatError(f"unknown mode code {mode_code}")
 
-    def read_layers():
-        (count,) = rd.unpack("<I")
-        layers = []
-        for _ in range(count):
-            (act,) = rd.unpack("<B")
-            if act not in _ACT_NAMES:
-                raise FormatError(f"unknown activation code {act}")
-            w = rd.matrix()
-            b = rd.matrix()
-            layers.append(DenseLayer(weight=w, bias=b, activation=_ACT_NAMES[act]))
-        return layers
+        def read_layers():
+            (count,) = rd.unpack("<I")
+            layers = []
+            for _ in range(count):
+                (act,) = rd.unpack("<B")
+                if act not in _ACT_NAMES:
+                    raise FormatError(f"unknown activation code {act}")
+                w = rd.matrix()
+                b = rd.matrix()
+                layers.append(DenseLayer(weight=w, bias=b, activation=_ACT_NAMES[act]))
+            return layers
 
-    feature = read_layers()
-    classifier_layers = read_layers()
-    if len(classifier_layers) != 1:
-        raise FormatError("checkpoint must contain exactly one classifier layer")
-    encoder = read_layers()
-    model = ModelParams(feature=feature, classifier=classifier_layers[0], encoder=encoder)
-    layers = model.all_layers()
-    got = [(*l.weight.shape, l.activation) for l in layers]
-    if got != layer_specs(*model_dims(model)):
-        raise FormatError(f"checkpoint layers {got} do not chain into one model")
-    settings = dict(zip(_OPT_SCALARS, rd.unpack("<ddddd?")))
-    n_decay, settings["decay_factor"] = rd.unpack("<Id")
-    settings["decay_epochs"] = tuple(rd.unpack("<I")[0] for _ in range(n_decay))
-    opt = Optimizer(**settings, bufs=[(rd.matrix(), rd.matrix()) for _ in layers])
-    for i, (layer, (bw, bb)) in enumerate(zip(layers, opt.bufs)):
-        if (bw.shape, bb.shape) != (layer.weight.shape, layer.bias.shape):
-            raise FormatError(
-                f"checkpoint momentum buffers {bw.shape}, {bb.shape} of layer {i} do not "
-                f"match its weight {layer.weight.shape} and bias {layer.bias.shape}"
-            )
-    (has_bank,) = rd.unpack("<B")
-    bank = codes_mod.read_bank(rd) if has_bank else None
-    rd.finish()
+        feature = read_layers()
+        classifier_layers = read_layers()
+        if len(classifier_layers) != 1:
+            raise FormatError("checkpoint must contain exactly one classifier layer")
+        encoder = read_layers()
+        model = ModelParams(feature=feature, classifier=classifier_layers[0], encoder=encoder)
+        layers = model.all_layers()
+        got = [(*l.weight.shape, l.activation) for l in layers]
+        if got != layer_specs(*model_dims(model)):
+            raise FormatError(f"checkpoint layers {got} do not chain into one model")
+        settings = dict(zip(_OPT_SCALARS, rd.unpack("<ddddd?")))
+        n_decay, settings["decay_factor"] = rd.unpack("<Id")
+        settings["decay_epochs"] = tuple(rd.unpack("<I")[0] for _ in range(n_decay))
+        opt = Optimizer(**settings, bufs=[(rd.matrix(), rd.matrix()) for _ in layers])
+        for i, (layer, (bw, bb)) in enumerate(zip(layers, opt.bufs)):
+            if (bw.shape, bb.shape) != (layer.weight.shape, layer.bias.shape):
+                raise FormatError(
+                    f"checkpoint momentum buffers {bw.shape}, {bb.shape} of layer {i} do not "
+                    f"match its weight {layer.weight.shape} and bias {layer.bias.shape}"
+                )
+        (has_bank,) = rd.unpack("<B")
+        bank = codes_mod.read_bank(rd) if has_bank else None
+        rd.finish()
     mode = _MODE_NAMES[mode_code]
     if bank is not None:
         _, _, num_classes, _, code_length = model_dims(model)

@@ -41,9 +41,10 @@ STREAM_CODES = 1
 STREAM_MODEL = 2
 STREAM_BATCHES = 3
 
-# Query rows per block in retrieval_eval: each block holds a few 256 x N
-# arrays, so memory grows linearly in N.
-_RETRIEVAL_BLOCK_ROWS = 256
+# Bytes of one float64 block of rows in an N-row scoring pass: inference
+# forwards the rows in blocks and Recall@K scores its queries in blocks,
+# so neither holds more than a block's layer outputs or similarities.
+_BLOCK_BYTES = 1 << 20
 _RECALL_DEPTHS = (1, 2, 4, 8)
 
 METRIC_KEYS = ("epoch", "ce", "mse", "triplet", "corr", "total", "top1", "top5", "code_corr")
@@ -533,6 +534,32 @@ def _first_hit_rank(scores: np.ndarray, hits: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` float64 values that fit in ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * width))
+
+
+def _infer(model: net_mod.ModelParams, X) -> tuple[np.ndarray, np.ndarray]:
+    """The trunk embeddings and the logits of every row of ``X``, forwarded
+    in blocks of :func:`_block_rows` of the widest trunk or classifier
+    layer; the forward raises for rows it cannot take, an empty ``X``
+    included. The embeddings are never ``X`` itself."""
+    n = len(X)
+    head = model.classifier.weight
+    rows = _block_rows(max(l.weight.shape[1] for l in [*model.feature, model.classifier]))
+    # One block returns the forward's own arrays: copying them raised the heap
+    # peak past malloc's trim point, and a 1200-row evaluate page-faulted ~270
+    # times a call (1.0 -> 1.9 ms). Without a feature layer, z would be X.
+    if n <= rows and model.feature:
+        return net_mod.forward(model, X, semantic=False)[:2]
+    z, logits = np.empty((n, head.shape[0])), np.empty((n, head.shape[1]))
+    for r0 in range(0, max(n, 1), rows):
+        z[r0 : r0 + rows], logits[r0 : r0 + rows] = net_mod.forward(
+            model, X[r0 : r0 + rows], semantic=False
+        )[:2]
+    return z, logits
+
+
 def _top_k(logits: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     # evaluate's scoring, apart from its forward pass
     k = logits.shape[1]
@@ -553,12 +580,12 @@ def evaluate(model: net_mod.ModelParams, ds: data_mod.Dataset) -> tuple[float, f
     DomainError and a NaN logit NumericError. The semantic encoder and the
     code bank play no part at inference time.
     """
-    # indexing drops the forward cache, and every layer output in it, at once
-    return _top_k(net_mod.forward(model, ds.X, semantic=False)[1], ds.y)
+    return _top_k(_infer(model, ds.X)[1], ds.y)
 
 
 def _recall_at(z: np.ndarray, y: np.ndarray, ks=_RECALL_DEPTHS) -> RetrievalReport:
-    # retrieval_eval's scoring of the trunk embeddings z, apart from its forward pass
+    # retrieval_eval's scoring of the trunk embeddings z, apart from its forward
+    # pass; z is normalized in place
     n = len(y)
     if not ks or min(ks) < 1:
         raise DomainError(f"recall depths must be at least 1, got {tuple(ks)}")
@@ -567,11 +594,12 @@ def _recall_at(z: np.ndarray, y: np.ndarray, ks=_RECALL_DEPTHS) -> RetrievalRepo
     if not np.isfinite(z).all():
         raise NumericError("non-finite embedding in retrieval")
     norms = np.linalg.norm(z, axis=1, keepdims=True)
-    z = np.divide(z, norms, out=np.zeros_like(z), where=norms > 0)
+    np.divide(z, norms, out=z, where=norms > 0)  # a zero row stays zero
     valid = np.bincount(y)[y] >= 2
     rank = np.empty(n, dtype=np.int64)
-    for r0 in range(0, n, _RETRIEVAL_BLOCK_ROWS):
-        r1 = min(r0 + _RETRIEVAL_BLOCK_ROWS, n)
+    rows = _block_rows(n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
         diag = (np.arange(r1 - r0), np.arange(r0, r1))
         sim = z[r0:r1] @ z.T
         sim[diag] = -np.inf
@@ -598,12 +626,14 @@ def retrieval_eval(
     no second sample are skipped and counted. Every K must be at least 1
     and below the sample count; a non-finite embedding raises NumericError.
 
-    Queries run in blocks of 256 rows, so memory is O(256·N) for N samples:
-    no N x N similarity matrix or sort is built. A query's rank is the
-    position of its first same-class candidate in the ranking, counted by
-    ``_first_hit_rank``.
+    The rows are forwarded, and the queries scored, in blocks of rows
+    whose widest float64 array fits in ``_BLOCK_BYTES`` (1 MiB): a query
+    block is ``max(1, 2**20 // (8 * N))`` rows of N similarities. So
+    memory is the N embeddings plus one block, with no N x N similarity
+    matrix or sort. A query's rank is the position of its first
+    same-class candidate in the ranking, counted by ``_first_hit_rank``.
     """
-    return _recall_at(net_mod.forward(model, ds.X, semantic=False)[0], ds.y, ks)
+    return _recall_at(_infer(model, ds.X)[0], ds.y, ks)
 
 
 def export_code_correlation(bank: codes_mod.CodeBank, path) -> None:

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from targetcodes import cli, codes, network, trainer
+from targetcodes import cli, codes, data, network, trainer
 from targetcodes.codes import load_bank
 from targetcodes.core import Rng
 from targetcodes.data import load_csv
+from targetcodes.errors import FormatError
 
 
 def run_cli(*argv):
@@ -726,6 +727,20 @@ class TestEval:
                        "--data", str(other))
         assert code == 2
 
+    @pytest.mark.parametrize("retrieval", [(), ("--retrieval",)], ids=["plain", "retrieval"])
+    def test_no_rows_exit_2(self, tmp_path, blob_csvs, monkeypatch, capsys, retrieval):
+        train, test = blob_csvs
+        run_cli(*TestTrain().train_args(tmp_path, train, test, "--mode", "baseline"))
+        empty = data.Dataset(np.zeros((0, 8)), np.zeros(0, dtype=np.intp))
+        monkeypatch.setattr(data, "load_csv", lambda path: empty)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(tmp_path / "run" / "ckpt_final.ltck"),
+                       "--data", str(test), *retrieval)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "matrix must be non-empty, got shape (0, 8)" in captured.err
+
 
 class TestConfigFileParsing:
     def test_unknown_key_rejected(self, tmp_path):
@@ -769,6 +784,14 @@ class TestLtckV1Fixture:
         ckpt = FIXTURE_V1 / "ckpt_epoch1.ltck"
         network.save_checkpoint(tmp_path / "again.ltck", network.load_checkpoint(ckpt))
         assert (tmp_path / "again.ltck").read_bytes() == ckpt.read_bytes()
+
+    def test_every_truncation_is_a_format_error(self, tmp_path):
+        raw = (FIXTURE_V1 / "ckpt_epoch1.ltck").read_bytes()
+        path = tmp_path / "trunc.ltck"
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(FormatError):
+                network.load_checkpoint(path)
 
     def test_eval_prints_pinned_scores(self, capsys):
         code = run_cli("eval", "--checkpoint", str(FIXTURE_V1 / "ckpt_epoch1.ltck"),

@@ -376,6 +376,32 @@ class TestBankSerialization:
             with pytest.raises(FormatError):
                 load_bank(path)
 
+    def test_truncated_version_1_payload(self, tmp_path):
+        path = tmp_path / "trunc_v1.ltcb"
+        raw = b"LTCB" + struct.pack("<IIIId", 1, 1, 3, 4, 2.5) + Rng(12).normals(3, 4).tobytes()
+        for end in range(len(raw)):
+            path.write_bytes(raw[:end])
+            with pytest.raises(FormatError):
+                load_bank(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_oversized_header_refused_before_allocating(self, tmp_path, version):
+        # 2**31 x 2**31 f64 weights would be 32 EiB; the file holds 8 bytes of them
+        path = tmp_path / "huge.ltcb"
+        if version == 1:
+            head = b"LTCB" + struct.pack("<IIIId", 1, 1, 2**31, 2**31, 1.0)
+        else:
+            head = b"LTCB" + struct.pack("<IIIdII", 2, 1, 0, 1.0, 2**31, 2**31)
+        path.write_bytes(head + bytes(8))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated code bank file"):
+                load_bank(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_version_error(self, tmp_path):
         bank = init_learnable_codes(2, 2, Rng(9))
         path = tmp_path / "ver.ltcb"

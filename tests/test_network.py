@@ -351,6 +351,47 @@ class TestCheckpoint:
         # the packed parts are one copy of the file; joining them made a second
         assert peak < 1.5 * path.stat().st_size
 
+    def test_load_holds_one_copy_of_the_bytes(self, tmp_path):
+        state = self.build_state(
+            input_dim=128, widths=(256, 128), classes=100, hidden=256, length=512
+        )
+        path = tmp_path / "big.ltck"
+        save_checkpoint(path, state)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrices it returns are one copy of the file; reading the whole
+        # file first and copying each matrix out of it made a second
+        assert peak < 1.25 * path.stat().st_size
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.ltck"
+        save_checkpoint(path, self.build_state())
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing bytes after checkpoint payload"):
+            load_checkpoint(path)
+
+    def test_oversized_matrix_header_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.ltck"
+        save_checkpoint(path, self.build_state())
+        raw = bytearray(path.read_bytes())
+        # the first weight's u32 rows and cols follow the 32-byte header, the
+        # u32 feature layer count and the first layer's u8 activation
+        assert struct.unpack_from("<II", raw, 37) == (8, 10)
+        struct.pack_into("<II", raw, 37, 2**31, 2**31)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated checkpoint file"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_corrupted_magic(self, tmp_path):
         state = self.build_state()
         path = tmp_path / "bad.ltck"

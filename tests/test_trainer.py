@@ -688,10 +688,11 @@ class TestEvaluateRanking:
             tm.evaluate(classifier_model(weight), dm.Dataset(x, np.array([0, 1, 2])))
 
 
-# forward holds its three layer outputs, 11.5 MB, at once; after it, only
-# the logits or the embeddings and one block of similarities need to live
-@pytest.mark.parametrize("fn, limit_mb", [("evaluate", 13), ("retrieval_eval", 20)])
-def test_memory_at_paper_dims(fn, limit_mb):
+# the 3000 x 128 embeddings and 3000 x 100 logits take 5.4 MB; the rows are
+# forwarded in 1 MiB blocks and the similarities scored in 1 MiB blocks, where
+# one unblocked forward held 11.5 MB of layer outputs at once
+@pytest.mark.parametrize("fn", ["evaluate", "retrieval_eval"])
+def test_memory_at_paper_dims(fn):
     model = nm.init_model(128, (256, 128), 100, 256, 512, Rng(68))
     ds = dm.Dataset(Rng(69).normals(3000, 128), np.arange(3000) % 100)
     tracemalloc.start()
@@ -700,7 +701,74 @@ def test_memory_at_paper_dims(fn, limit_mb):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < limit_mb * 2**20
+    assert peak < 10 * 2**20
+
+
+class TestBlockedScoring:
+    """evaluate and retrieval_eval forward their rows and score their queries
+    in blocks of at most ``trainer._BLOCK_BYTES``; the blocks change no
+    result and no refusal."""
+
+    def model_and_data(self, rows=301):
+        model = nm.init_model(16, (24, 12), 7, 8, 8, Rng(70))
+        x = Rng(71).normals(rows, 16)
+        return model, dm.Dataset(x, np.arange(rows) % 7)
+
+    def count_forwards(self, monkeypatch):
+        calls = []
+        forward = nm.forward
+
+        def counted(model, x, semantic=True):
+            calls.append(len(x))
+            return forward(model, x, semantic)
+
+        monkeypatch.setattr(nm, "forward", counted)
+        return calls
+
+    @pytest.mark.parametrize("fn", ["evaluate", "retrieval_eval"])
+    def test_several_blocks_give_the_one_block_result(self, monkeypatch, fn):
+        model, ds = self.model_and_data()
+        calls = self.count_forwards(monkeypatch)
+        whole = getattr(tm, fn)(model, ds)
+        assert calls == [301]
+        # 64 rows of the widest layer (24) per forward block, 301 // 64 = 4
+        # full blocks and a partial one; similarity blocks of 5 rows
+        monkeypatch.setattr(tm, "_BLOCK_BYTES", 8 * 24 * 64)
+        assert tm._block_rows(301) == 5
+        calls.clear()
+        blocked = getattr(tm, fn)(model, ds)
+        assert calls == [64, 64, 64, 64, 45]
+        assert blocked == whole
+
+    def test_retrieval_leaves_the_rows_alone(self):
+        # without a feature layer the trunk embeddings are the rows themselves,
+        # and Recall@K normalizes its embeddings in place
+        x = Rng(72).normals(40, 3)
+        ds = dm.Dataset(x.copy(), np.arange(40) % 4)
+        tm.retrieval_eval(classifier_model(np.eye(3)), ds, ks=(1,))
+        assert np.array_equal(ds.X, x)
+
+    @pytest.mark.parametrize("fn", ["evaluate", "retrieval_eval"])
+    def test_no_rows_is_the_dimension_error_of_an_empty_matrix(self, fn):
+        model, _ = self.model_and_data()
+        ds = dm.Dataset(np.zeros((0, 16)), np.zeros(0, dtype=np.intp))
+        with pytest.raises(DimensionError, match=r"non-empty, got shape \(0, 16\)"):
+            getattr(tm, fn)(model, ds)
+
+    @pytest.mark.parametrize("fn", ["evaluate", "retrieval_eval"])
+    def test_wrong_width_is_a_dimension_error(self, fn):
+        model, _ = self.model_and_data()
+        ds = dm.Dataset(np.zeros((20, 15)), np.arange(20) % 7)
+        with pytest.raises(DimensionError, match="input dim 15 does not match first layer 16"):
+            getattr(tm, fn)(model, ds)
+
+    @pytest.mark.parametrize("fn", ["evaluate", "retrieval_eval"])
+    def test_nan_in_the_last_block_is_a_numeric_error(self, monkeypatch, fn):
+        model, ds = self.model_and_data()
+        ds.X[-1, 3] = np.nan
+        monkeypatch.setattr(tm, "_BLOCK_BYTES", 8 * 24 * 64)
+        with pytest.raises(NumericError):
+            getattr(tm, fn)(model, ds)
 
 
 def identity_model(dim):
