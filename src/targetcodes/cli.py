@@ -39,7 +39,7 @@ def _resolve_train_config(args) -> dict:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         values[key.strip()] = trainer_mod.parse_setting(key.strip(), value.strip())
-    for key in trainer_mod._CONFIG_KEYS:  # each train flag's dest is its config key
+    for key in trainer_mod.CONFIG_KEYS:  # each train flag's dest is its config key
         v = getattr(args, key, None)
         if v is not None:
             values[key] = trainer_mod.parse_setting(key, str(v))
@@ -163,12 +163,10 @@ def cmd_gradcheck(args) -> int:
 def cmd_eval(args) -> int:
     state = net_mod.load_checkpoint(args.checkpoint)
     ds = data_mod.load_csv(args.data)
-    # one blocked forward for both scores: trainer.evaluate and
-    # trainer.retrieval_eval would each run their own
-    z, logits = trainer_mod._infer(state.model, ds.X)
-    top1, top5 = trainer_mod._top_k(logits, ds.y)
     # score everything before printing, so a refused command prints nothing
-    report = trainer_mod._recall_at(z, ds.y) if args.retrieval else None
+    top1, top5, report = trainer_mod.score(
+        state.model, ds, trainer_mod.RECALL_DEPTHS if args.retrieval else ()
+    )
     print(f"top1 {top1:.4f} top5 {top5:.4f}")
     if report is not None:
         for k in sorted(report.recall_at):

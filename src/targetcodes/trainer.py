@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import re
-import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
@@ -45,7 +44,7 @@ STREAM_BATCHES = 3
 # forwards the rows in blocks and Recall@K scores its queries in blocks,
 # so neither holds more than a block's layer outputs or similarities.
 _BLOCK_BYTES = 1 << 20
-_RECALL_DEPTHS = (1, 2, 4, 8)
+RECALL_DEPTHS = (1, 2, 4, 8)
 
 METRIC_KEYS = ("epoch", "ce", "mse", "triplet", "corr", "total", "top1", "top5", "code_corr")
 
@@ -105,7 +104,7 @@ _CODECS = {
 _HP_KEYS = {f.name for f in fields(Hyperparams)}
 # key -> (parser, formatter) for every config key: the TrainConfig fields,
 # with the Hyperparams fields in place of ``hp``, in declaration order
-_CONFIG_KEYS = {
+CONFIG_KEYS = {
     f.name: _CODECS[f.type]
     for outer in fields(TrainConfig)
     for f in (fields(Hyperparams) if outer.name == "hp" else (outer,))
@@ -115,10 +114,10 @@ _CONFIG_KEYS = {
 def parse_setting(key: str, value: str):
     """Parse the text ``value`` of config key ``key``; unknown keys and bad
     values raise ConfigError."""
-    if key not in _CONFIG_KEYS:
+    if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key {key!r}")
     try:
-        return _CONFIG_KEYS[key][0](value)
+        return CONFIG_KEYS[key][0](value)
     except (ValueError, KeyError):
         raise ConfigError(f"bad value {value!r} for {key}") from None
 
@@ -157,14 +156,14 @@ def build_config(values: dict) -> TrainConfig:
 
 def _settings(config: TrainConfig) -> dict:
     """``key -> value`` for every set key of ``config``, in file order."""
-    values = ((k, getattr(config.hp if k in _HP_KEYS else config, k)) for k in _CONFIG_KEYS)
+    values = ((k, getattr(config.hp if k in _HP_KEYS else config, k)) for k in CONFIG_KEYS)
     return {k: v for k, v in values if v is not None}
 
 
 def format_config(config: TrainConfig) -> str:
     """Render ``config`` as a config file that parses back to an equal
     config; unset optional keys are left out."""
-    return "".join(f"{k} = {_CONFIG_KEYS[k][1](v)}\n" for k, v in _settings(config).items())
+    return "".join(f"{k} = {CONFIG_KEYS[k][1](v)}\n" for k, v in _settings(config).items())
 
 
 @dataclass(frozen=True)
@@ -185,11 +184,9 @@ class EpochMetrics:
     top1: float
     top5: float
     code_corr: float
-    wall_clock_seconds: float
 
     def json_line(self) -> str:
-        """Deterministic JSON for metrics.jsonl; wall-clock time is excluded
-        so identical runs produce byte-identical files."""
+        """Deterministic JSON for one metrics.jsonl line."""
         return json.dumps({k: getattr(self, k) for k in METRIC_KEYS})
 
 
@@ -318,7 +315,7 @@ def _check_resume_state(
         )
     wanted = _settings(config)
     changed = [
-        f"{key} {_CONFIG_KEYS[key][1](old)} -> {_CONFIG_KEYS[key][1](wanted[key])}"
+        f"{key} {CONFIG_KEYS[key][1](old)} -> {CONFIG_KEYS[key][1](wanted[key])}"
         for key, old in _recorded_settings(state, resume_from).items()
         if key not in _RESUMABLE_KEYS and old != wanted[key]
     ]
@@ -442,7 +439,6 @@ def train(
 
     try:
         for epoch in range(start_epoch, hp.epochs):
-            tick = time.perf_counter()
             sums = (0.0,) * 5  # ce, mse, triplet, corr, total, as EpochMetrics orders them
             seen = 0
             # a step checks everything before it changes anything, so a NumericError
@@ -490,7 +486,6 @@ def train(
                     top1=top1,
                     top5=top5,
                     code_corr=code_corr,
-                    wall_clock_seconds=time.perf_counter() - tick,
                 )
                 result.metrics.append(entry)
                 log.info(
@@ -539,36 +534,41 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * width))
 
 
-def _infer(model: net_mod.ModelParams, X) -> tuple[np.ndarray, np.ndarray]:
-    """The trunk embeddings and the logits of every row of ``X``, forwarded
-    in blocks of :func:`_block_rows` of the widest trunk or classifier
-    layer; the forward raises for rows it cannot take, an empty ``X``
-    included. The embeddings are never ``X`` itself."""
-    n = len(X)
-    head = model.classifier.weight
+def _blocks(model: net_mod.ModelParams, X):
+    """Yield ``(first row, trunk embeddings, logits)`` per block of ``X``:
+    :func:`_block_rows` of the widest trunk or classifier layer. The forward
+    raises for rows it cannot take, an empty ``X`` included."""
     rows = _block_rows(max(l.weight.shape[1] for l in [*model.feature, model.classifier]))
-    # One block returns the forward's own arrays: copying them raised the heap
-    # peak past malloc's trim point, and a 1200-row evaluate page-faulted ~270
-    # times a call (1.0 -> 1.9 ms). Without a feature layer, z would be X.
-    if n <= rows and model.feature:
-        return net_mod.forward(model, X, semantic=False)[:2]
-    z, logits = np.empty((n, head.shape[0])), np.empty((n, head.shape[1]))
-    for r0 in range(0, max(n, 1), rows):
-        z[r0 : r0 + rows], logits[r0 : r0 + rows] = net_mod.forward(
-            model, X[r0 : r0 + rows], semantic=False
-        )[:2]
-    return z, logits
+    for r0 in range(0, max(len(X), 1), rows):
+        yield r0, *net_mod.forward(model, X[r0 : r0 + rows], semantic=False)[:2]
 
 
-def _top_k(logits: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    # evaluate's scoring, apart from its forward pass
-    k = logits.shape[1]
-    if y.max() >= k:
-        raise DomainError(f"labels reach {int(y.max())}, but the model has {k} classes")
-    if np.isnan(logits).any():
+def score(
+    model: net_mod.ModelParams, ds: data_mod.Dataset, ks: tuple[int, ...] = ()
+) -> tuple[float, float, Optional[RetrievalReport]]:
+    """Top-1 and top-k accuracy as :func:`evaluate` scores them and, for a
+    non-empty ``ks``, Recall@K as :func:`retrieval_eval` scores it, from one
+    pass of :func:`_blocks`. Only the rows' class ranks outlive a block, and
+    the N trunk embeddings when ``ks`` is given. Forward errors come first,
+    then a label of at least K, then a NaN logit, then Recall@K's refusals.
+    """
+    n, (d, k) = len(ds.y), model.classifier.weight.shape
+    rank = np.empty(n, dtype=np.intp)
+    z = np.empty((n, d)) if ks else None
+    nan = False
+    for r0, z_block, logits in _blocks(model, ds.X):
+        r1 = r0 + len(logits)
+        if z is not None:
+            z[r0:r1] = z_block
+        nan = nan or np.isnan(logits).any()
+        if not nan:
+            rank[r0:r1] = _first_hit_rank(logits, ds.y[r0:r1, None] == np.arange(k))
+    if ds.y.max() >= k:
+        raise DomainError(f"labels reach {int(ds.y.max())}, but the model has {k} classes")
+    if nan:
         raise NumericError("NaN logit in evaluation")
-    rank = _first_hit_rank(logits, y[:, None] == np.arange(k))
-    return float((rank == 0).mean()), float((rank < min(5, k)).mean())
+    top1, top5 = float((rank == 0).mean()), float((rank < min(5, k)).mean())
+    return top1, top5, _recall_at(z, ds.y, ks) if ks else None
 
 
 def evaluate(model: net_mod.ModelParams, ds: data_mod.Dataset) -> tuple[float, float]:
@@ -580,12 +580,11 @@ def evaluate(model: net_mod.ModelParams, ds: data_mod.Dataset) -> tuple[float, f
     DomainError and a NaN logit NumericError. The semantic encoder and the
     code bank play no part at inference time.
     """
-    return _top_k(_infer(model, ds.X)[1], ds.y)
+    return score(model, ds)[:2]
 
 
-def _recall_at(z: np.ndarray, y: np.ndarray, ks=_RECALL_DEPTHS) -> RetrievalReport:
-    # retrieval_eval's scoring of the trunk embeddings z, apart from its forward
-    # pass; z is normalized in place
+def _recall_at(z: np.ndarray, y: np.ndarray, ks: tuple[int, ...]) -> RetrievalReport:
+    # Recall@K of the trunk embeddings z, which it normalizes in place
     n = len(y)
     if not ks or min(ks) < 1:
         raise DomainError(f"recall depths must be at least 1, got {tuple(ks)}")
@@ -616,7 +615,7 @@ def _recall_at(z: np.ndarray, y: np.ndarray, ks=_RECALL_DEPTHS) -> RetrievalRepo
 
 
 def retrieval_eval(
-    model: net_mod.ModelParams, ds: data_mod.Dataset, ks: tuple[int, ...] = _RECALL_DEPTHS
+    model: net_mod.ModelParams, ds: data_mod.Dataset, ks: tuple[int, ...] = RECALL_DEPTHS
 ) -> RetrievalReport:
     """Recall@K with L2-normalized trunk embeddings and cosine ranking.
 
@@ -633,7 +632,10 @@ def retrieval_eval(
     matrix or sort. A query's rank is the position of its first
     same-class candidate in the ranking, counted by ``_first_hit_rank``.
     """
-    return _recall_at(_infer(model, ds.X)[0], ds.y, ks)
+    z = np.empty((len(ds.y), model.classifier.weight.shape[0]))
+    for r0, z_block, _ in _blocks(model, ds.X):
+        z[r0 : r0 + len(z_block)] = z_block
+    return _recall_at(z, ds.y, ks)
 
 
 def export_code_correlation(bank: codes_mod.CodeBank, path) -> None:

@@ -488,7 +488,7 @@ class TestTrain:
         "num_classes", "code_length", "feature_widths", "encoder_hidden",
     }
 
-    @pytest.mark.parametrize("key", sorted(set(trainer._CONFIG_KEYS) - trainer._RESUMABLE_KEYS))
+    @pytest.mark.parametrize("key", sorted(set(trainer.CONFIG_KEYS) - trainer._RESUMABLE_KEYS))
     def test_resume_refuses_a_changed_setting(self, tmp_path, blob_csvs, capsys, key):
         train, test = blob_csvs
         base = self.train_args(tmp_path, train, test, "--mode", "ltc",
@@ -767,7 +767,7 @@ class TestConfigFileParsing:
         reparsed = {}
         for line in text.splitlines():
             key, _, value = line.partition("=")
-            reparsed[key.strip()] = trainer._CONFIG_KEYS[key.strip()][0](value.strip())
+            reparsed[key.strip()] = trainer.CONFIG_KEYS[key.strip()][0](value.strip())
         for key, expected in values.items():
             assert reparsed[key] == expected
 

@@ -701,12 +701,13 @@ def test_memory_at_paper_dims(fn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    # evaluate keeps per-row ranks, not the N-row logits or embeddings
+    assert peak < (4 if fn == "evaluate" else 10) * 2**20
 
 
 class TestBlockedScoring:
-    """evaluate and retrieval_eval forward their rows and score their queries
-    in blocks of at most ``trainer._BLOCK_BYTES``; the blocks change no
+    """score, evaluate and retrieval_eval forward their rows and score their
+    queries in blocks of at most ``trainer._BLOCK_BYTES``; the blocks change no
     result and no refusal."""
 
     def model_and_data(self, rows=301):
@@ -725,7 +726,7 @@ class TestBlockedScoring:
         monkeypatch.setattr(nm, "forward", counted)
         return calls
 
-    @pytest.mark.parametrize("fn", ["evaluate", "retrieval_eval"])
+    @pytest.mark.parametrize("fn", ["score", "evaluate", "retrieval_eval"])
     def test_several_blocks_give_the_one_block_result(self, monkeypatch, fn):
         model, ds = self.model_and_data()
         calls = self.count_forwards(monkeypatch)
@@ -740,6 +741,14 @@ class TestBlockedScoring:
         assert calls == [64, 64, 64, 64, 45]
         assert blocked == whole
 
+    def test_score_is_evaluate_and_retrieval_eval(self, monkeypatch):
+        model, ds = self.model_and_data()
+        for block_bytes in (tm._BLOCK_BYTES, 8 * 24 * 64):
+            monkeypatch.setattr(tm, "_BLOCK_BYTES", block_bytes)
+            assert tm.score(model, ds, tm.RECALL_DEPTHS) == (
+                *tm.evaluate(model, ds), tm.retrieval_eval(model, ds)
+            )
+
     def test_retrieval_leaves_the_rows_alone(self):
         # without a feature layer the trunk embeddings are the rows themselves,
         # and Recall@K normalizes its embeddings in place
@@ -748,21 +757,21 @@ class TestBlockedScoring:
         tm.retrieval_eval(classifier_model(np.eye(3)), ds, ks=(1,))
         assert np.array_equal(ds.X, x)
 
-    @pytest.mark.parametrize("fn", ["evaluate", "retrieval_eval"])
+    @pytest.mark.parametrize("fn", ["score", "evaluate", "retrieval_eval"])
     def test_no_rows_is_the_dimension_error_of_an_empty_matrix(self, fn):
         model, _ = self.model_and_data()
         ds = dm.Dataset(np.zeros((0, 16)), np.zeros(0, dtype=np.intp))
         with pytest.raises(DimensionError, match=r"non-empty, got shape \(0, 16\)"):
             getattr(tm, fn)(model, ds)
 
-    @pytest.mark.parametrize("fn", ["evaluate", "retrieval_eval"])
+    @pytest.mark.parametrize("fn", ["score", "evaluate", "retrieval_eval"])
     def test_wrong_width_is_a_dimension_error(self, fn):
         model, _ = self.model_and_data()
         ds = dm.Dataset(np.zeros((20, 15)), np.arange(20) % 7)
         with pytest.raises(DimensionError, match="input dim 15 does not match first layer 16"):
             getattr(tm, fn)(model, ds)
 
-    @pytest.mark.parametrize("fn", ["evaluate", "retrieval_eval"])
+    @pytest.mark.parametrize("fn", ["score", "evaluate", "retrieval_eval"])
     def test_nan_in_the_last_block_is_a_numeric_error(self, monkeypatch, fn):
         model, ds = self.model_and_data()
         ds.X[-1, 3] = np.nan
