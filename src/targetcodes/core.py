@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -84,15 +85,37 @@ class Reader:
         return self.floats(r, c)
 
     def floats(self, rows: int, cols: int) -> Matrix:
-        """Read ``rows * cols`` f64 values as a matrix; NaN or infinity
-        raises FormatError. The file is read straight into the array."""
-        self._claim(8 * rows * cols)
-        data = np.empty((rows, cols), dtype="<f8")
-        if self.fh.readinto(data) != data.nbytes:
+        """Read ``rows * cols`` f64 values as a new matrix."""
+        self._claim(8 * rows * cols)  # before allocating
+        return self._read_into(np.empty((rows, cols)))
+
+    def skip(self, n: int) -> int:
+        """Pass over the next ``n`` bytes unread; returns their offset,
+        for :meth:`fill`."""
+        self._claim(n)
+        at = self.fh.tell()
+        self.fh.seek(n, os.SEEK_CUR)
+        return at
+
+    def fill(self, out: Matrix, at: Optional[int] = None) -> None:
+        """Read f64 values straight into the C-contiguous float64 ``out``:
+        the next ones, or those :meth:`skip` passed at offset ``at``, after
+        which reading goes on from their end."""
+        if at is None:
+            self._claim(out.nbytes)
+        else:
+            self.fh.seek(at)
+        self._read_into(out)
+
+    def _read_into(self, out: Matrix) -> Matrix:
+        # NaN or infinity raises FormatError
+        if self.fh.readinto(out) != out.nbytes:  # the file shrank while it was read
             raise FormatError(f"truncated {self.what} file")
-        if not np.isfinite(data).all():
+        if sys.byteorder == "big":  # the file is little-endian
+            out.byteswap(inplace=True)
+        if not np.isfinite(out).all():
             raise FormatError(f"non-finite value in {self.what} file")
-        return data.astype(np.float64, copy=False)
+        return out
 
     def finish(self) -> None:
         """Reject bytes left over after the last field."""

@@ -17,7 +17,9 @@ class Dataset:
     """Feature rows with non-negative integer labels.
 
     ``class_counts`` is ``np.bincount(y)``, so class k has
-    ``class_counts[k]`` rows and the class count is ``max(y) + 1``.
+    ``class_counts[k]`` rows and the class count is ``max(y) + 1``. A
+    feature that is NaN or infinite raises DomainError naming its row and
+    column.
     """
 
     X: Matrix
@@ -37,6 +39,9 @@ class Dataset:
             raise DimensionError(
                 f"{self.X.shape[0]} feature rows for {self.y.shape[0]} labels"
             )
+        if not np.isfinite(self.X).all():
+            row, col = np.argwhere(~np.isfinite(self.X))[0]
+            raise DomainError(f"non-finite feature at row {row}, column {col}")
         self.class_counts = np.bincount(self.y)
 
 
@@ -80,9 +85,10 @@ def make_blobs(
         X[row : row + per_class] = class_centers[k] + noise
         y[row : row + per_class] = k
         row += per_class
-    if not np.isfinite(X).all():
-        raise DomainError(f"spreads {spreads} overflow float64: features must be finite")
-    return Dataset(X=X, y=y)
+    try:
+        return Dataset(X=X, y=y)
+    except DomainError:
+        raise DomainError(f"spreads {spreads} overflow float64: features must be finite") from None
 
 
 def _round_half_up(x: float) -> int:
@@ -188,13 +194,13 @@ def load_csv(path) -> Dataset:
             raise
         except (ValueError, UnicodeDecodeError, Warning) as exc:
             raise _format_error(path, str(exc)) from None
-    X = np.ascontiguousarray(table["X"])
-    if not np.isfinite(X).all():
-        raise _format_error(path, "non-finite value")
     y = np.ascontiguousarray(table["y"])
     if y.min() < 0:
         raise FormatError(f"{path}: negative label {int(y.min())}")
-    return Dataset(X=X, y=y)
+    try:
+        return Dataset(X=np.ascontiguousarray(table["X"]), y=y)
+    except DomainError:  # a non-finite feature; name its line
+        raise _format_error(path, "non-finite value") from None
 
 
 def _bad_field(text: str, parse) -> bool:

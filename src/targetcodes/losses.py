@@ -120,13 +120,20 @@ def cross_entropy(logits, labels) -> tuple[float, Matrix]:
     y = labels_array(labels, k)
     if y.shape[0] != n:
         raise DimensionError(f"{y.shape[0]} labels for {n} rows of logits")
+    return _cross_entropy(logits, y)
+
+
+def _cross_entropy(logits: Matrix, y: np.ndarray) -> tuple[float, Matrix]:
+    """``cross_entropy`` on checked logits and labels."""
+    n = logits.shape[0]
+    rows = np.arange(n)
     shift = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shift)
     denom = exp.sum(axis=1, keepdims=True)
     log_probs = shift - np.log(denom)
-    loss = float(-log_probs[np.arange(n), y].mean())
+    loss = -float(log_probs[rows, y].sum() / n)  # np.mean's sum and division, without its wrapper
     grad = exp / denom
-    grad[np.arange(n), y] -= 1.0
+    grad[rows, y] -= 1.0
     return loss, grad / n
 
 
@@ -232,10 +239,16 @@ def compose_objective(mode: str, hp: Hyperparams, logits, semantic, codes, label
     """
     if mode not in MODES:
         raise UsageError(f"unknown mode {mode!r}")
-    ce_loss, grad_logits = cross_entropy(logits, labels)
     if mode == BASELINE:
+        ce_loss, grad_logits = cross_entropy(logits, labels)
         return LossBundle(ce_loss, ce_loss, 0.0, 0.0, 0.0, grad_logits)
-    v, s, y = _code_batch(semantic, codes, labels)
+    v, s, y = _code_batch(semantic, codes, labels)  # the batch's one label check
+    logits = as_matrix(logits)
+    if logits.shape != (len(y), len(s)):
+        raise DimensionError(
+            f"logits shape {logits.shape} does not match {len(y)} labels and {len(s)} codewords"
+        )
+    ce_loss, grad_logits = _cross_entropy(logits, y)
     mse_loss, mse_gv = _mse(v, s, y)
     if mode == HTC:  # fixed codes take no gradient, so skip building it
         total = ce_loss + hp.mse_weight * mse_loss

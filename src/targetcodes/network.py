@@ -5,6 +5,11 @@ The model is three sub-networks sharing one trunk: a feature extractor
 (ReLU MLP) producing z, a linear classifier producing logits, and a
 three-layer semantic encoder (ReLU, ReLU, tanh) producing a semantic code
 in (-1, 1)^L. Inference uses only the extractor and the classifier.
+
+Parameters, momentum and gradients each live in one flat float64 buffer,
+every layer's weight then bias in ``all_layers()`` order, and the
+per-layer matrices are views of it. So an optimizer step is a few ufuncs
+over whole slices of those buffers, not a few per layer.
 """
 
 from __future__ import annotations
@@ -40,6 +45,34 @@ _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 _CKPT_MAGIC = b"LTCK"
 _CKPT_VERSION = 1
 
+# Elements per slice that one SGD ufunc pass covers. Whole-buffer passes
+# were slower at paper dims: their temporaries fall out of cache.
+_CHUNK = 1 << 15
+
+
+def _flat(dims, fill=np.empty) -> tuple[np.ndarray, list[tuple[Matrix, Matrix]]]:
+    """The one allocation site of the flat store: a fresh 1-D float64
+    buffer holding, for each ``(fan_in, fan_out)`` of ``dims``, a weight
+    then a bias, back to back, and each such (weight, bias) pair as views
+    of it. One pass over ``dims``: backward runs this every step."""
+    flat = fill(sum([(r + 1) * c for r, c in dims]))
+    pairs, at = [], 0
+    for r, c in dims:
+        end = at + r * c
+        pairs.append((flat[at:end].reshape(r, c), flat[end : end + c].reshape(1, c)))
+        at = end + c
+    return flat, pairs
+
+
+def _check_bias(weight_shape, bias_shape) -> None:
+    if bias_shape != (1, weight_shape[1]):
+        raise DimensionError(f"bias shape {bias_shape} does not match weight {weight_shape}")
+
+
+def _views_of(flat: Optional[np.ndarray], pairs) -> bool:
+    """Whether every array of ``pairs`` is a view of ``flat``."""
+    return flat is not None and all(a.base is flat for pair in pairs for a in pair)
+
 
 @dataclass
 class DenseLayer:
@@ -52,21 +85,25 @@ class DenseLayer:
     def __post_init__(self):
         self.weight = as_matrix(self.weight)
         self.bias = as_matrix(self.bias)
-        if self.bias.shape != (1, self.weight.shape[1]):
-            raise DimensionError(
-                f"bias shape {self.bias.shape} does not match weight {self.weight.shape}"
-            )
+        _check_bias(self.weight.shape, self.bias.shape)
         if self.activation not in _ACT_CODES:
             raise UsageError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
 class ModelParams:
-    """Feature extractor layers, classifier layer, and semantic encoder layers."""
+    """Feature extractor layers, classifier layer, and semantic encoder layers.
+
+    ``flat`` holds every layer's weight then bias, in ``all_layers()``
+    order, and the layers' arrays are views of it. :func:`init_model` and
+    :func:`load_checkpoint` build models so; :func:`init_optimizer` lays out
+    one built by hand, which :func:`sgd_step` needs.
+    """
 
     feature: list[DenseLayer]
     classifier: DenseLayer
     encoder: list[DenseLayer]
+    flat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def all_layers(self) -> list[DenseLayer]:
         return [*self.feature, self.classifier, *self.encoder]
@@ -94,19 +131,20 @@ def _layer_forward(layer: DenseLayer, x: Matrix) -> Matrix:
 
 
 def _layer_backward(
-    layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix, need_input: bool = True
-) -> tuple[Matrix, Matrix, Optional[Matrix]]:
-    """Returns (grad_weight, grad_bias, grad_input); grad_input is None
-    when ``need_input`` is False. ReLU derivative at exactly zero is zero."""
+    layer: DenseLayer, x: Matrix, out: Matrix, grad_out: Matrix, into, need_input: bool = True
+) -> Optional[Matrix]:
+    """Writes (grad_weight, grad_bias) into the pair ``into`` and returns
+    grad_input, or None when ``need_input`` is False. ReLU derivative at
+    exactly zero is zero."""
     if layer.activation == RELU:
         grad_pre = grad_out * (out > 0.0)
     elif layer.activation == TANH:
         grad_pre = grad_out * (1.0 - out * out)
     else:
         grad_pre = grad_out
-    gw = x.T @ grad_pre
-    gb = grad_pre.sum(axis=0, keepdims=True)
-    return gw, gb, grad_pre @ layer.weight.T if need_input else None
+    np.matmul(x.T, grad_pre, out=into[0])
+    np.add.reduce(grad_pre, axis=0, keepdims=True, out=into[1])
+    return grad_pre @ layer.weight.T if need_input else None
 
 
 def layer_specs(
@@ -158,15 +196,17 @@ def init_model(
     """
     if input_dim < 1 or num_classes < 1 or encoder_hidden < 1 or code_length < 1:
         raise DomainError("all model dimensions must be positive")
-    layers = []
     specs = layer_specs(input_dim, feature_widths, num_classes, encoder_hidden, code_length)
-    for fan_in, fan_out, act in specs:
+    flat, pairs = _flat([(i, o) for i, o, _ in specs], np.zeros)
+    layers = []
+    for (fan_in, fan_out, act), (w, b) in zip(specs, pairs):
         std = np.sqrt(2.0 / fan_in) if act == RELU else np.sqrt(1.0 / fan_in)
-        layers.append(
-            DenseLayer(rng.normals(fan_in, fan_out) * std, np.zeros((1, fan_out)), act)
-        )
+        np.multiply(rng.normals(fan_in, fan_out), std, out=w)
+        layers.append(DenseLayer(w, b, act))
     n = len(feature_widths)
-    return ModelParams(feature=layers[:n], classifier=layers[n], encoder=layers[n + 1 :])
+    return ModelParams(
+        feature=layers[:n], classifier=layers[n], encoder=layers[n + 1 :], flat=flat
+    )
 
 
 def forward(
@@ -202,18 +242,36 @@ def forward(
     return z, logits, v, ForwardCache(model, io)
 
 
+class Gradients(list):
+    """What :func:`backward` returns: one (grad_weight, grad_bias) pair per
+    layer it reached, in ``all_layers()`` order, each pair views of the one
+    flat buffer ``flat`` that :func:`sgd_step` reads. Assigning a pair to an
+    index copies it into that layer's views, so ``flat`` holds what the
+    list holds."""
+
+    def __init__(self, flat: np.ndarray, pairs: list[tuple[Matrix, Matrix]]):
+        super().__init__(pairs)
+        self.flat = flat
+
+    def __setitem__(self, i: int, pair) -> None:
+        for view, value in zip(self[i], pair):
+            view[...] = value
+
+
 def backward(
     model: ModelParams,
     cache: ForwardCache,
     grad_logits,
     grad_semantic=None,
-) -> list[tuple[Matrix, Matrix]]:
+) -> Gradients:
     """Exact reverse-mode parameter gradients for one forward pass, one
-    (grad_weight, grad_bias) pair per layer in ``all_layers()`` order.
+    (grad_weight, grad_bias) pair per layer in ``all_layers()`` order,
+    written into one fresh flat buffer.
 
     The feature trunk receives the sum of the classifier-path and
     semantic-path gradients. Pass ``grad_semantic=None`` to skip the
-    encoder entirely; its pairs are then absent from the result.
+    encoder entirely; its pairs are then absent from the result, which
+    covers only the feature and classifier prefix of the flat store.
     """
     if cache.model is not model:
         raise UsageError("cache does not belong to this model")
@@ -225,9 +283,6 @@ def backward(
         raise DimensionError(
             f"grad_logits shape {grad_logits.shape} does not match logits {logits.shape}"
         )
-    grads = [None] * (n + 1)
-    gw, gb, grad_z = _layer_backward(model.classifier, z, logits, grad_logits)
-    grads[n] = (gw, gb)
     if grad_semantic is not None:
         if len(cache.io) != len(layers):
             raise UsageError("forward pass skipped the semantic branch")
@@ -237,17 +292,19 @@ def backward(
             raise DimensionError(
                 f"grad_semantic shape {grad_semantic.shape} does not match codes {v.shape}"
             )
-        grads += [None] * len(model.encoder)
+    else:
+        layers = layers[: n + 1]
+    grads = Gradients(*_flat([l.weight.shape for l in layers]))
+    grad_z = _layer_backward(model.classifier, z, logits, grad_logits, grads[n])
+    if grad_semantic is not None:
         g = grad_semantic
         for i in range(len(layers) - 1, n, -1):
-            gw, gb, g = _layer_backward(layers[i], *cache.io[i], g)
-            grads[i] = (gw, gb)
+            g = _layer_backward(layers[i], *cache.io[i], g, grads[i])
         grad_z = grad_z + g
     g = grad_z
     for i in range(n - 1, -1, -1):
         # nothing reads the gradient of the model's input
-        gw, gb, g = _layer_backward(layers[i], *cache.io[i], g, need_input=i > 0)
-        grads[i] = (gw, gb)
+        g = _layer_backward(layers[i], *cache.io[i], g, grads[i], need_input=i > 0)
     return grads
 
 
@@ -257,7 +314,8 @@ class Optimizer:
     step-decay schedule shared by every group.
 
     ``decay_codes=False`` exempts the code learning rate from the schedule.
-    ``bufs`` holds one (weight, bias) momentum buffer pair per layer in
+    ``flat`` is the momentum buffer, laid out like the model's ``flat``,
+    and ``bufs`` holds its (weight, bias) views, one pair per layer in
     ``all_layers()`` order. Momentum buffers exist for model parameters
     only; learnable codes take plain gradient steps at
     ``lr(GROUP_CODES, epoch)``.
@@ -272,6 +330,7 @@ class Optimizer:
     decay_factor: float
     decay_codes: bool = True
     bufs: list[tuple[Matrix, Matrix]] = field(default_factory=list, repr=False)
+    flat: Optional[np.ndarray] = field(default=None, repr=False)
 
     def lr(self, group: str, epoch: int) -> float:
         base = {
@@ -292,46 +351,72 @@ _HP_SETTINGS = (*_OPT_SCALARS[:-1], "decay_epochs", "decay_factor")
 
 
 def init_optimizer(model: ModelParams, hp, decay_codes: bool = True) -> Optimizer:
-    """Fresh optimizer with zeroed momentum buffers for ``model``."""
+    """Fresh optimizer with zeroed momentum buffers for ``model``. A model
+    whose layers are not views of its ``flat`` buffer yet is first copied
+    into a fresh one, and its layers rebound to their views."""
+    layers = model.all_layers()
+    if not _views_of(model.flat, [(l.weight, l.bias) for l in layers]):
+        model.flat, pairs = _flat([l.weight.shape for l in layers])
+        for layer, (w, b) in zip(layers, pairs):
+            w[...], b[...] = layer.weight, layer.bias
+            layer.weight, layer.bias = w, b
+    flat, bufs = _flat([l.weight.shape for l in layers], np.zeros)
     return Optimizer(
         **{k: getattr(hp, k) for k in _HP_SETTINGS},
         decay_codes=decay_codes,
-        bufs=[(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in model.all_layers()],
+        bufs=bufs,
+        flat=flat,
     )
 
 
-def _apply_sgd(layer: DenseLayer, buf, grads, lr, momentum, weight_decay):
-    gw, gb = grads
-    bw, bb = buf
-    bw *= momentum
-    bw += gw + weight_decay * layer.weight
-    bb *= momentum
-    bb += gb + weight_decay * layer.bias
-    layer.weight -= lr * bw
-    layer.bias -= lr * bb
-
-
-def sgd_step(
-    opt: Optimizer, model: ModelParams, grads: list[tuple[Matrix, Matrix]], epoch: int
-) -> None:
+def sgd_step(opt: Optimizer, model: ModelParams, grads, epoch: int) -> None:
     """One optimizer step: buf <- momentum*buf + grad + wd*param, then
-    param <- param - lr(group, epoch)*buf.
+    param <- param - lr(group, epoch)*buf, over the flat store in slices
+    of at most ``_CHUNK`` elements; the feature span takes the feature
+    rate and the rest the new-head rate.
 
-    ``grads`` is what :func:`backward` returns; the encoder is skipped when
-    its gradients are absent (plain classification). All gradients are
-    validated before any parameter changes, so a numeric error leaves the
-    model untouched.
+    ``grads`` is what :func:`backward` returns, or any list of
+    (grad_weight, grad_bias) pairs in ``all_layers()`` order; the encoder
+    is skipped when its gradients are absent (plain classification). All
+    gradients are validated before any parameter changes, so a numeric
+    error leaves the model untouched.
     """
+    layers = model.all_layers()
     n = len(model.feature)
-    if len(grads) not in (n + 1, len(model.all_layers())):
+    if len(grads) not in (n + 1, len(layers)):
         raise DimensionError("gradient count does not match model")
-    for gw, gb in grads:
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise NumericError("parameter gradient contains non-finite entries")
-    lr_f = opt.lr(GROUP_FEATURE, epoch)
-    lr_n = opt.lr(GROUP_NEW, epoch)
-    for i, (layer, buf, g) in enumerate(zip(model.all_layers(), opt.bufs, grads)):
-        _apply_sgd(layer, buf, g, lr_f if i < n else lr_n, opt.momentum, opt.weight_decay)
+    p, buf = model.flat, opt.flat
+    params = [(l.weight, l.bias) for l in layers]
+    if not (_views_of(p, params) and _views_of(buf, opt.bufs) and buf.size == p.size):
+        raise UsageError("model and momentum are not one flat store: use init_optimizer")
+    if isinstance(grads, Gradients):  # backward laid it out like the store
+        g = grads.flat
+    elif [a.shape for pair in grads for a in pair] != [
+        a.shape for l in layers[: len(grads)] for a in (l.weight, l.bias)
+    ]:
+        raise DimensionError("gradient shapes do not match model")
+    else:
+        g = np.concatenate([a.ravel() for pair in grads for a in pair])
+    sizes = [w.size + b.size for w, b in params]
+    if g.size != sum(sizes[: len(grads)]):
+        raise DimensionError("gradient shapes do not match model")
+    if not np.isfinite(g).all():
+        raise NumericError("parameter gradient contains non-finite entries")
+    split = sum(sizes[:n])  # where the feature span ends
+    lr_feature, lr_new = opt.lr(GROUP_FEATURE, epoch), opt.lr(GROUP_NEW, epoch)
+    scratch = np.empty(min(_CHUNK, g.size))
+    for a in range(0, g.size, _CHUNK):
+        b = min(a + _CHUNK, g.size)
+        pa, ba, t = p[a:b], buf[a:b], scratch[: b - a]
+        # the per-layer formula's ufuncs, in its order: same bits
+        ba *= opt.momentum
+        np.multiply(pa, opt.weight_decay, out=t)
+        t += g[a:b]
+        ba += t
+        np.multiply(ba, lr_new, out=t)
+        if a < split:
+            np.multiply(ba[: split - a], lr_feature, out=t[: split - a])
+        pa -= t
 
 
 # --- checkpoint serialization ------------------------------------------------
@@ -407,7 +492,11 @@ def load_checkpoint(path) -> CheckpointState:
     """Read an LTCK file written by :func:`save_checkpoint`. A file that
     disagrees with itself raises FormatError: layers that do not chain,
     momentum buffers or a bank shaped unlike the model, or a bank kind
-    that does not follow the mode (Hadamard exactly in ``htc``)."""
+    that does not follow the mode (Hadamard exactly in ``htc``).
+
+    The values go straight from the file into the flat store: a first pass
+    over the layer sections reads their shapes and skips their values,
+    which then fill the views of a store of that size."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
@@ -419,37 +508,49 @@ def load_checkpoint(path) -> CheckpointState:
         mode_code, seed, rng_state, epoch = rd.unpack("<IQQI")
         if mode_code not in _MODE_NAMES:
             raise FormatError(f"unknown mode code {mode_code}")
-
-        def read_layers():
-            (count,) = rd.unpack("<I")
-            layers = []
-            for _ in range(count):
+        counts, acts, dims, offsets = [], [], [], []
+        for section in range(3):  # feature, classifier, encoder
+            counts.append(rd.unpack("<I")[0])
+            if section == 1 and counts[-1] != 1:
+                raise FormatError("checkpoint must contain exactly one classifier layer")
+            for _ in range(counts[-1]):
                 (act,) = rd.unpack("<B")
                 if act not in _ACT_NAMES:
                     raise FormatError(f"unknown activation code {act}")
-                w = rd.matrix()
-                b = rd.matrix()
-                layers.append(DenseLayer(weight=w, bias=b, activation=_ACT_NAMES[act]))
-            return layers
-
-        feature = read_layers()
-        classifier_layers = read_layers()
-        if len(classifier_layers) != 1:
-            raise FormatError("checkpoint must contain exactly one classifier layer")
-        encoder = read_layers()
-        model = ModelParams(feature=feature, classifier=classifier_layers[0], encoder=encoder)
-        layers = model.all_layers()
+                acts.append(_ACT_NAMES[act])
+                weight = rd.unpack("<II")
+                offsets.append(rd.skip(8 * weight[0] * weight[1]))
+                bias = rd.unpack("<II")
+                offsets.append(rd.skip(8 * bias[0] * bias[1]))
+                _check_bias(weight, bias)
+                dims.append(weight)
+        flat, pairs = _flat(dims)
+        layers = [DenseLayer(w, b, act) for (w, b), act in zip(pairs, acts)]
+        n = counts[0]
+        model = ModelParams(
+            feature=layers[:n], classifier=layers[n], encoder=layers[n + 1 :], flat=flat
+        )
         got = [(*l.weight.shape, l.activation) for l in layers]
         if got != layer_specs(*model_dims(model)):
             raise FormatError(f"checkpoint layers {got} do not chain into one model")
+        for at, view in zip(offsets, [a for pair in pairs for a in pair]):
+            rd.fill(view, at)
         settings = dict(zip(_OPT_SCALARS, rd.unpack("<ddddd?")))
         n_decay, settings["decay_factor"] = rd.unpack("<Id")
         settings["decay_epochs"] = tuple(rd.unpack("<I")[0] for _ in range(n_decay))
-        opt = Optimizer(**settings, bufs=[(rd.matrix(), rd.matrix()) for _ in layers])
-        for i, (layer, (bw, bb)) in enumerate(zip(layers, opt.bufs)):
-            if (bw.shape, bb.shape) != (layer.weight.shape, layer.bias.shape):
+        momentum, bufs = _flat(dims)
+        opt = Optimizer(**settings, bufs=bufs, flat=momentum)
+        for i, (layer, pair) in enumerate(zip(layers, opt.bufs)):
+            got = []
+            for view in pair:
+                got.append(rd.unpack("<II"))
+                if got[-1] == view.shape:
+                    rd.fill(view)
+                else:
+                    rd.skip(8 * got[-1][0] * got[-1][1])
+            if got != [view.shape for view in pair]:
                 raise FormatError(
-                    f"checkpoint momentum buffers {bw.shape}, {bb.shape} of layer {i} do not "
+                    f"checkpoint momentum buffers {got[0]}, {got[1]} of layer {i} do not "
                     f"match its weight {layer.weight.shape} and bias {layer.bias.shape}"
                 )
         (has_bank,) = rd.unpack("<B")

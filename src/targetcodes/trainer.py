@@ -287,7 +287,9 @@ def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict
             raise FormatError(f"{cfg_path}: not a readable run config: {exc}") from None
     opt, bank = state.optimizer, state.bank
     # every Optimizer field but the momentum buffers is a config key
-    recorded.update((f.name, getattr(opt, f.name)) for f in fields(opt) if f.name != "bufs")
+    recorded.update(
+        (f.name, getattr(opt, f.name)) for f in fields(opt) if f.name not in ("bufs", "flat")
+    )
     recorded.update(mode=state.mode, seed=state.seed)
     (_, recorded["feature_widths"], recorded["num_classes"], recorded["encoder_hidden"],
      recorded["code_length"]) = net_mod.model_dims(state.model)

@@ -166,6 +166,13 @@ class TestCsv:
         with pytest.raises(FormatError, match=r"ragged\.csv:2: expected 3 fields"):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_refused_at_construction(self, value):
+        X = np.zeros((3, 4))
+        X[2, 1] = value
+        with pytest.raises(DomainError, match="non-finite feature at row 2, column 1"):
+            Dataset(X=X, y=np.array([0, 1, 0]))
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_feature_rejected(self, tmp_path, value):
         path = tmp_path / "nonfinite.csv"

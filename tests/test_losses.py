@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from targetcodes.codes import select_hadamard_codes
-from targetcodes.core import Rng, finite_diff_check
+from targetcodes import losses
+from targetcodes.core import Rng, finite_diff_check, labels_array
 from targetcodes.errors import DimensionError, DomainError, UsageError
 from targetcodes.losses import (
     Hyperparams,
@@ -271,6 +272,24 @@ class TestComposeObjective:
         inputs, _ = self.batch(Rng(56))
         with pytest.raises(UsageError):
             compose_objective("nonsense", self.hp(), *inputs)
+
+    @pytest.mark.parametrize("mode", ["htc", "ltc"])
+    def test_one_label_check_per_coding_batch(self, monkeypatch, mode):
+        calls = []
+
+        def counted(labels, num_classes):
+            calls.append(num_classes)
+            return labels_array(labels, num_classes)
+
+        inputs, _ = self.batch(Rng(58))
+        monkeypatch.setattr(losses, "labels_array", counted)
+        compose_objective(mode, self.hp(), *inputs)
+        assert calls == [4]
+
+    def test_logits_unlike_the_codewords_rejected(self):
+        (logits, v, s, y), _ = self.batch(Rng(59))
+        with pytest.raises(DimensionError, match="logits shape"):
+            compose_objective("ltc", self.hp(), logits[:, :3], v, s, y)
 
 
 def test_all_losses_non_negative_on_random_inputs():

@@ -9,7 +9,7 @@ import pytest
 from targetcodes import cli
 from targetcodes.codes import init_learnable_codes, select_hadamard_codes
 from targetcodes.core import Rng, finite_diff_check, pack_matrix
-from targetcodes.data import Dataset, save_csv
+from targetcodes.data import Dataset, make_blobs, save_csv
 from targetcodes.errors import (
     DimensionError,
     FormatError,
@@ -19,6 +19,7 @@ from targetcodes.errors import (
 )
 from targetcodes.losses import Hyperparams
 from targetcodes.network import (
+    _CHUNK,
     _layer_forward,
     GROUP_CODES,
     GROUP_FEATURE,
@@ -34,6 +35,8 @@ from targetcodes.network import (
     save_checkpoint,
     sgd_step,
 )
+from targetcodes.trainer import TrainConfig
+from targetcodes.trainer import train as train_model
 
 
 def toy_model(seed=0, input_dim=8, widths=(10, 8), classes=3, hidden=8, length=8):
@@ -245,14 +248,21 @@ class TestOptimizer:
         hp = Hyperparams(num_classes=3, code_length=8)
         opt = init_optimizer(model, hp)
         _, logits, v, cache = forward(model, Rng(27).normals(2, 8))
+        # one good step first, so that the momentum is not all zero
+        sgd_step(opt, model, backward(model, cache, np.ones_like(logits), np.ones_like(v)), 0)
         grads = backward(model, cache, np.zeros_like(logits), np.zeros_like(v))
         i = len(model.feature) + 2  # the second encoder layer
         grads[i] = (np.full_like(grads[i][0], np.nan), grads[i][1])
-        before = [l.weight.copy() for l in model.all_layers()]
+        before = [(l.weight.copy(), l.bias.copy()) for l in model.all_layers()]
+        momentum = [(bw.copy(), bb.copy()) for bw, bb in opt.bufs]
         with pytest.raises(NumericError):
             sgd_step(opt, model, grads, 0)
-        for layer, prev in zip(model.all_layers(), before):
-            np.testing.assert_array_equal(layer.weight, prev)
+        for layer, (weight, bias) in zip(model.all_layers(), before):
+            np.testing.assert_array_equal(layer.weight, weight)
+            np.testing.assert_array_equal(layer.bias, bias)
+        for (bw, bb), (was_w, was_b) in zip(opt.bufs, momentum):
+            np.testing.assert_array_equal(bw, was_w)
+            np.testing.assert_array_equal(bb, was_b)
 
     def test_gradient_count_unlike_the_model_rejected(self):
         model = toy_model(28)
@@ -264,6 +274,114 @@ class TestOptimizer:
             sgd_step(opt, model, grads[:-1], 0)
         for layer, prev in zip(model.all_layers(), before):
             np.testing.assert_array_equal(layer.weight, prev)
+
+
+def assert_one_flat_store(model, opt):
+    """Every layer's weight then bias, in ``all_layers()`` order, sits back
+    to back in ``model.flat``, and its momentum likewise in ``opt.flat``."""
+    params = [a for l in model.all_layers() for a in (l.weight, l.bias)]
+    momentum = [a for pair in opt.bufs for a in pair]
+    for flat, views in ((model.flat, params), (opt.flat, momentum)):
+        start = flat.__array_interface__["data"][0]
+        at = 0
+        for view in views:
+            assert view.base is flat
+            assert view.__array_interface__["data"][0] == start + 8 * at
+            at += view.size
+        assert at == flat.size
+
+
+class TestFlatStore:
+    def test_steps_match_the_per_layer_formula_bit_for_bit(self):
+        # 200*180 + 180 feature elements, then 19634 more: more than one
+        # chunk, and the feature/new boundary inside the second one
+        model = init_model(200, (180,), 10, 64, 32, Rng(80))
+        split = sum(l.weight.size + l.bias.size for l in model.feature)
+        assert _CHUNK < split < min(2 * _CHUNK, model.flat.size)
+        hp = Hyperparams(num_classes=10, code_length=32, lr_feature=0.05, lr_new=0.2,
+                         weight_decay=0.01, decay_epochs=(2,))
+        opt = init_optimizer(model, hp)
+        n = len(model.feature)
+        want = [(l.weight.copy(), l.bias.copy()) for l in model.all_layers()]
+        want_bufs = [(np.zeros_like(w), np.zeros_like(b)) for w, b in want]
+        rng = Rng(81)
+        for epoch in range(3):
+            _, logits, v, cache = forward(model, rng.normals(16, 200))
+            grads = backward(model, cache, rng.normals(*logits.shape), rng.normals(*v.shape))
+            for i, (params, bufs, g) in enumerate(zip(want, want_bufs, grads)):
+                lr = opt.lr(GROUP_FEATURE if i < n else GROUP_NEW, epoch)
+                for p, buf, grad in zip(params, bufs, g):  # the per-layer formula
+                    buf *= hp.momentum
+                    buf += grad + hp.weight_decay * p
+                    p -= lr * buf
+            sgd_step(opt, model, grads, epoch)
+        for layer, (w, b), (bw, bb), (got_bw, got_bb) in zip(
+            model.all_layers(), want, want_bufs, opt.bufs
+        ):
+            assert layer.weight.tobytes() == w.tobytes()
+            assert layer.bias.tobytes() == b.tobytes()
+            assert got_bw.tobytes() == bw.tobytes() and got_bb.tobytes() == bb.tobytes()
+
+    def test_baseline_gradient_leaves_the_encoder_alone(self):
+        model = toy_model(82)
+        opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
+        opt.flat[:] = Rng(83).normals(1, opt.flat.size)[0]  # non-zero momentum
+        params, momentum = model.flat.copy(), opt.flat.copy()
+        _, logits, _, cache = forward(model, Rng(84).normals(4, 8), semantic=False)
+        grads = backward(model, cache, np.ones_like(logits), None)
+        assert len(grads) == len(model.feature) + 1
+        sgd_step(opt, model, grads, 0)
+        end = grads.flat.size  # the feature and classifier prefix
+        assert end == sum(l.weight.size + l.bias.size for l in model.all_layers()[:len(grads)])
+        assert model.flat[end:].tobytes() == params[end:].tobytes()
+        assert opt.flat[end:].tobytes() == momentum[end:].tobytes()
+        assert not np.array_equal(model.flat[:end], params[:end])
+        assert not np.array_equal(opt.flat[:end], momentum[:end])
+
+    def test_init_optimizer_lays_out_a_model_built_by_hand(self):
+        model = zero_model()
+        model.classifier.weight[:] = Rng(85).normals(5, 3)
+        weight = model.classifier.weight.copy()
+        opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=6))
+        assert_one_flat_store(model, opt)
+        assert model.classifier.weight.tobytes() == weight.tobytes()
+        assert not opt.flat.any()
+
+    def test_a_layer_rebound_after_init_optimizer_is_refused(self):
+        model = toy_model(86)
+        opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
+        _, logits, v, cache = forward(model, Rng(87).normals(2, 8))
+        grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
+        model.classifier.weight = model.classifier.weight.copy()
+        with pytest.raises(UsageError, match="one flat store"):
+            sgd_step(opt, model, grads, 0)
+
+    def test_loaded_and_resumed_models_are_one_flat_store(self, tmp_path):
+        model = toy_model(88)
+        opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
+        assert_one_flat_store(model, opt)
+        state = CheckpointState(
+            mode="ltc", seed=1, rng_state=2, epoch=1, model=model, optimizer=opt,
+            bank=init_learnable_codes(3, 8, Rng(89)),
+        )
+        path = tmp_path / "state.ltck"
+        save_checkpoint(path, state)
+        loaded = load_checkpoint(path)
+        assert_one_flat_store(loaded.model, loaded.optimizer)
+        assert loaded.model.flat.tobytes() == model.flat.tobytes()
+
+        train = make_blobs(3, 8, 1, 20, 1.0, 3.0, Rng(90))
+        config = TrainConfig(
+            mode="ltc", hp=Hyperparams(num_classes=3, code_length=8, epochs=2, batch_size=8),
+            feature_widths=(6,), encoder_hidden=4, checkpoint_every=1,
+            out_dir=str(tmp_path / "run"),
+        )
+        first = train_model(config, train, train)
+        assert_one_flat_store(first.model, first.optimizer)
+        resumed = train_model(config, train, train,
+                              resume_from=str(tmp_path / "run" / "ckpt_epoch1.ltck"))
+        assert_one_flat_store(resumed.model, resumed.optimizer)
+        assert resumed.model.flat.tobytes() == first.model.flat.tobytes()
 
 
 class TestInitModel:

@@ -868,10 +868,11 @@ class TestRetrieval:
             tm.retrieval_eval(identity_model(4), dm.Dataset(x, np.array([0, 0, 1, 1])), ks=ks)
 
     def test_non_finite_embedding_rejected(self):
-        x = np.eye(4)
-        x[2, 1] = np.nan
+        # a Dataset refuses a NaN feature, so the NaN comes from the model
+        model = identity_model(4)
+        model.feature[0].bias[0, 1] = np.nan
         with pytest.raises(NumericError):
-            tm.retrieval_eval(identity_model(4), dm.Dataset(x, np.array([0, 0, 1, 1])), ks=(1,))
+            tm.retrieval_eval(model, dm.Dataset(np.eye(4), np.array([0, 0, 1, 1])), ks=(1,))
 
 
 class TestCorrelationExport:
