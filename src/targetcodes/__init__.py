@@ -15,13 +15,10 @@ from .codes import (
     ste_backward,
     update_codes,
 )
+from .config import BASELINE, HTC, LTC, Hyperparams, TrainConfig
 from .core import GradCheckReport, Rng, derive_seed, finite_diff_check
 from .data import Dataset, batches, load_csv, long_tail_subsample, make_blobs, save_csv
 from .losses import (
-    BASELINE,
-    HTC,
-    LTC,
-    Hyperparams,
     LossBundle,
     compose_objective,
     corr_consistency,
@@ -33,7 +30,6 @@ from .network import DenseLayer, ModelParams, Optimizer, backward, forward, init
 from .trainer import (
     EpochMetrics,
     RetrievalReport,
-    TrainConfig,
     TrainResult,
     evaluate,
     export_code_correlation,

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import codes as codes_mod
+from . import config as config_mod
 from . import data as data_mod
 from . import gradcheck as gradcheck_mod
 from . import network as net_mod
@@ -26,23 +27,20 @@ from .errors import ConfigError, NumericError, TargetCodesError, TrainingDiverge
 
 log = logging.getLogger("targetcodes")
 
-# The CLI's own defaults; every other key defaults to its dataclass field.
-_DEFAULTS = {"mode": "baseline", "out_dir": "run"}
-
 
 def _resolve_train_config(args) -> dict:
-    values = dict(_DEFAULTS)
+    values = dict(config_mod.CLI_DEFAULTS)
     if args.config:
-        values.update(trainer_mod.parse_config_file(args.config))
+        values.update(config_mod.parse_config_file(args.config))
     for pair in args.set:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        values[key.strip()] = trainer_mod.parse_setting(key.strip(), value.strip())
-    for key in trainer_mod.CONFIG_KEYS:  # each train flag's dest is its config key
+        values[key.strip()] = config_mod.parse_setting(key.strip(), value.strip())
+    for key in config_mod.CONFIG_KEYS:  # each train flag's dest is its config key
         v = getattr(args, key, None)
         if v is not None:
-            values[key] = trainer_mod.parse_setting(key, str(v))
+            values[key] = config_mod.parse_setting(key, v)
     return values
 
 
@@ -133,7 +131,7 @@ def cmd_train(args) -> int:
     test_ds = data_mod.load_csv(values["test_data"])
     values.setdefault("num_classes", train_ds.num_classes)
     result = trainer_mod.train(
-        trainer_mod.build_config(values), train_ds, test_ds,
+        config_mod.build_config(values), train_ds, test_ds,
         resume_from=args.resume or None,
     )
     final = result.metrics[-1]
@@ -216,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train per a config file plus overrides")
     p.add_argument("--config")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--mode", choices=["baseline", "htc", "ltc"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--length", dest="code_length", type=int, help="code length override")
-    p.add_argument("--margin", type=float)
+    p.add_argument("--mode", choices=config_mod.MODES)
+    p.add_argument("--seed")
+    p.add_argument("--epochs")
+    p.add_argument("--length", dest="code_length", help="code length override")
+    p.add_argument("--margin")
     p.add_argument("--data", dest="train_data", help="training CSV")
     p.add_argument("--test-data", dest="test_data", help="test CSV")
     p.add_argument("--out", dest="out_dir", help="output directory")

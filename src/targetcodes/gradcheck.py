@@ -14,9 +14,9 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import network as net_mod
+from .config import LTC, Hyperparams
 from .core import GradCheckReport, Rng, derive_seed, finite_diff_check
 from .errors import DomainError
-from .losses import Hyperparams
 
 _KINK_GUARD = 1e-4
 _MAX_RESAMPLE = 200
@@ -143,7 +143,7 @@ def _network_instance(rng: Rng, hp: Hyperparams):
 
 def _network_loss(model, x, y, s, hp) -> tuple[losses_mod.LossBundle, net_mod.ForwardCache]:
     _, logits, v, cache = net_mod.forward(model, x, semantic=True)
-    return losses_mod.compose_objective(losses_mod.LTC, hp, logits, v, s, y), cache
+    return losses_mod.compose_objective(LTC, hp, logits, v, s, y), cache
 
 
 def _check_network(rng: Rng, h: float, tol: float) -> GradCheckReport:

@@ -10,85 +10,14 @@ regularization, learnable-code regularization) and merges them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .config import BASELINE, HTC, MODES, Hyperparams
 from .core import Matrix, as_matrix, labels_array
 from .errors import DimensionError, DomainError, UsageError
-
-BASELINE = "baseline"
-HTC = "htc"
-LTC = "ltc"
-
-MODES = (BASELINE, HTC, LTC)
-
-
-@dataclass
-class Hyperparams:
-    """Weights, margins, and optimizer settings for one training run.
-
-    ``margin`` defaults to the code length; halve it for long-tailed
-    (imbalanced) training runs. Learning rates are grouped: the feature
-    extractor, the newly added heads (classifier and semantic encoder),
-    and the learnable codes each have their own rate. ``decay_epochs``
-    are 0-based epoch indices at which every rate is multiplied by
-    ``decay_factor``. Rates, weight decay, loss weights and the margin must
-    be finite and non-negative, ``tanh_scale`` and ``decay_factor`` finite
-    and positive, ``momentum`` in [0, 1), ``seed`` in [0, 2**64) and each
-    decay epoch in [0, 2**32).
-    """
-
-    num_classes: int
-    code_length: int = 512
-    mse_weight: float = 1.0
-    triplet_weight: float = 0.01
-    corr_weight: float = 0.1
-    margin: Optional[float] = None
-    tanh_scale: float = 1.0
-    lr_feature: float = 0.001
-    lr_new: float = 0.01
-    lr_codes: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    epochs: int = 100
-    batch_size: int = 16
-    decay_epochs: tuple[int, ...] = (40, 70)
-    decay_factor: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_classes < 1:
-            raise DomainError(f"num_classes must be positive, got {self.num_classes}")
-        if self.code_length < 1:
-            raise DomainError(f"code_length must be positive, got {self.code_length}")
-        for name in (
-            "mse_weight", "triplet_weight", "corr_weight",
-            "lr_feature", "lr_new", "lr_codes", "weight_decay",
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"{name} must be finite and non-negative, got {value}")
-        if self.margin is None:
-            self.margin = float(self.code_length)
-        if not (math.isfinite(self.margin) and self.margin >= 0):
-            raise DomainError(f"margin must be finite and non-negative, got {self.margin}")
-        if not (math.isfinite(self.tanh_scale) and self.tanh_scale > 0):
-            raise DomainError(f"tanh_scale must be finite and positive, got {self.tanh_scale}")
-        if not 0 <= self.momentum < 1:
-            raise DomainError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not (math.isfinite(self.decay_factor) and self.decay_factor > 0):
-            raise DomainError(
-                f"decay_factor must be finite and positive, got {self.decay_factor}"
-            )
-        self.decay_epochs = tuple(int(e) for e in self.decay_epochs)
-        # LTCK checkpoints store the seed as u64 and each decay epoch as u32
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if not all(0 <= e < 2**32 for e in self.decay_epochs):
-            raise DomainError(f"decay_epochs must lie in [0, 2**32), got {self.decay_epochs}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """End-to-end training loop with three branches (plain cross-entropy,
 fixed Hadamard codes, learnable codes), evaluation metrics, retrieval
-Recall@K, correlation-matrix export, checkpointing, and the config-file
-codec for ``TrainConfig``.
+Recall@K, correlation-matrix export and checkpointing.
 
 Every run is a pure function of its config: the single seed fans out into
 fixed per-component streams (codes, model init, batch order), so reruns
@@ -23,6 +22,10 @@ from . import codes as codes_mod
 from . import data as data_mod
 from . import losses as losses_mod
 from . import network as net_mod
+from .config import (
+    CONFIG_KEYS, HTC, LTC, RESUMABLE_KEYS, TrainConfig,
+    build_config, format_config, parse_config_file, settings,
+)
 from .core import Rng, atomic_open, derive_seed
 from .errors import (
     ConfigError,
@@ -32,7 +35,6 @@ from .errors import (
     NumericError,
     TrainingDiverged,
 )
-from .losses import HTC, LTC, MODES, Hyperparams
 
 log = logging.getLogger("targetcodes")
 
@@ -54,116 +56,6 @@ _STALE_RUN_TMP = re.compile(
     r"(resolved\.cfg|metrics\.jsonl|corr_(init|epoch\d+)\.csv"
     r"|ckpt_(epoch\d+|final|diverged_last_good)\.ltck)\.\d+\.tmp"
 )
-
-
-@dataclass
-class TrainConfig:
-    """One training run: branch, hyperparameters, model dims, and outputs.
-
-    ``out_dir`` of None keeps the run entirely in memory (no resolved.cfg,
-    metrics file or checkpoints). Loss-component metrics are recorded as weighted
-    contributions to the total, so a regularizer with weight zero reports
-    exactly 0.0.
-    """
-
-    mode: str
-    hp: Hyperparams
-    feature_widths: tuple[int, ...] = (256, 128)
-    encoder_hidden: int = 256
-    activation: str = codes_mod.SIGN
-    ste_rule: str = codes_mod.STE_CLIPPED
-    decay_codes: bool = True
-    eval_every: int = 1
-    checkpoint_every: int = 0
-    out_dir: Optional[str] = None
-    train_data: Optional[str] = None
-    test_data: Optional[str] = None
-
-    def __post_init__(self):
-        self.feature_widths = tuple(int(w) for w in self.feature_widths)
-
-
-# annotation -> (parser, formatter); the annotations are the strings written
-# in the dataclass bodies, since those modules use postponed evaluation
-_CODECS = {
-    "int": (int, str),
-    "float": (float, repr),
-    "Optional[float]": (float, repr),
-    "str": (str, str),
-    "Optional[str]": (str, str),
-    "bool": (
-        lambda s: {"true": True, "false": False}[s.lower()],
-        lambda b: "true" if b else "false",
-    ),
-    "tuple[int, ...]": (
-        lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
-        lambda t: ",".join(str(v) for v in t),
-    ),
-}
-
-_HP_KEYS = {f.name for f in fields(Hyperparams)}
-# key -> (parser, formatter) for every config key: the TrainConfig fields,
-# with the Hyperparams fields in place of ``hp``, in declaration order
-CONFIG_KEYS = {
-    f.name: _CODECS[f.type]
-    for outer in fields(TrainConfig)
-    for f in (fields(Hyperparams) if outer.name == "hp" else (outer,))
-}
-
-
-def parse_setting(key: str, value: str):
-    """Parse the text ``value`` of config key ``key``; unknown keys and bad
-    values raise ConfigError."""
-    if key not in CONFIG_KEYS:
-        raise ConfigError(f"unknown config key {key!r}")
-    try:
-        return CONFIG_KEYS[key][0](value)
-    except (ValueError, KeyError):
-        raise ConfigError(f"bad value {value!r} for {key}") from None
-
-
-def _strip_comment(line: str) -> str:
-    """``line`` cut at a ``#`` that starts it or follows whitespace, stripped."""
-    return re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
-
-
-def parse_config_file(path) -> dict:
-    """Read flat `key = value` lines; blank lines are skipped, and a # at the
-    start of a line or after whitespace starts a comment, so a path may hold
-    one elsewhere. Unknown keys are rejected."""
-    values = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = _strip_comment(raw)
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            try:
-                values[key.strip()] = parse_setting(key.strip(), value.strip())
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{line_no}: {exc}") from None
-    return values
-
-
-def build_config(values: dict) -> TrainConfig:
-    """The TrainConfig for parsed settings; absent keys take the dataclass
-    defaults."""
-    hp = Hyperparams(**{k: v for k, v in values.items() if k in _HP_KEYS})
-    return TrainConfig(hp=hp, **{k: v for k, v in values.items() if k not in _HP_KEYS})
-
-
-def _settings(config: TrainConfig) -> dict:
-    """``key -> value`` for every set key of ``config``, in file order."""
-    values = ((k, getattr(config.hp if k in _HP_KEYS else config, k)) for k in CONFIG_KEYS)
-    return {k: v for k, v in values if v is not None}
-
-
-def format_config(config: TrainConfig) -> str:
-    """Render ``config`` as a config file that parses back to an equal
-    config; unset optional keys are left out."""
-    return "".join(f"{k} = {CONFIG_KEYS[k][1](v)}\n" for k, v in _settings(config).items())
 
 
 @dataclass(frozen=True)
@@ -211,35 +103,15 @@ class TrainResult:
 def validate_config(
     config: TrainConfig, train_ds: data_mod.Dataset, test_ds: data_mod.Dataset
 ) -> None:
-    """Fail fast on invalid configs, before any compute or output."""
+    """Refuse ``config`` before any compute or output: ``check()``, then the data checks."""
+    config.check()
     hp = config.hp
-    num_classes = train_ds.num_classes
-    if config.mode not in MODES:
-        raise ConfigError(f"unknown mode {config.mode!r}, expected one of {MODES}")
-    if hp.num_classes != num_classes:
-        raise ConfigError(
-            f"config says {hp.num_classes} classes, data has {num_classes}"
-        )
-    if config.activation not in (codes_mod.SIGN, codes_mod.TANH_SCALED):
-        raise ConfigError(f"unknown activation {config.activation!r}")
-    if config.ste_rule not in (codes_mod.STE_CLIPPED, codes_mod.STE_PASSTHROUGH):
-        raise ConfigError(f"unknown STE rule {config.ste_rule!r}")
-    if hp.epochs < 1:
-        raise ConfigError(f"epochs must be positive, got {hp.epochs}")
-    if hp.batch_size < 1:
-        raise ConfigError(f"batch size must be positive, got {hp.batch_size}")
+    if hp.num_classes != train_ds.num_classes:
+        raise ConfigError(f"config says {hp.num_classes} classes, data has {train_ds.num_classes}")
     if hp.batch_size > train_ds.num_samples:
         raise ConfigError(
             f"batch size {hp.batch_size} exceeds the {train_ds.num_samples} training rows"
         )
-    if config.eval_every < 1:
-        raise ConfigError(f"eval_every must be positive, got {config.eval_every}")
-    if config.checkpoint_every < 0:
-        raise ConfigError(f"checkpoint_every must be at least 0, got {config.checkpoint_every}")
-    if not config.feature_widths:
-        raise ConfigError("feature_widths must name at least one layer")
-    if min(config.feature_widths) < 1:
-        raise ConfigError(f"feature_widths must be positive, got {config.feature_widths}")
     if test_ds.y.max() >= hp.num_classes:
         raise ConfigError(
             f"test labels reach {int(test_ds.y.max())}, config has {hp.num_classes} classes"
@@ -248,10 +120,6 @@ def validate_config(
         raise ConfigError(
             f"train dim {train_ds.X.shape[1]} does not match test dim {test_ds.X.shape[1]}"
         )
-    for key in ("out_dir", "train_data", "test_data"):
-        path = getattr(config, key)
-        if path is not None and (_strip_comment(path) != path or any(c in path for c in "\r\n")):
-            raise ConfigError(f"{key} {path!r} would not read back from resolved.cfg")
 
 
 def _init_bank(config: TrainConfig, num_classes: int) -> codes_mod.CodeBank:
@@ -269,10 +137,6 @@ def _init_bank(config: TrainConfig, num_classes: int) -> codes_mod.CodeBank:
     )
 
 
-# Settings a resume may change: how long to train, and where the files are.
-_RESUMABLE_KEYS = {"epochs", "checkpoint_every", "out_dir", "train_data", "test_data"}
-
-
 def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict:
     """``key -> value`` of the run that wrote ``resume_from``: a
     ``resolved.cfg`` beside it, if any, overlaid with what the LTCK file
@@ -282,7 +146,7 @@ def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict
     cfg_path = os.path.join(os.path.dirname(resume_from), "resolved.cfg")
     if os.path.exists(cfg_path):
         try:
-            recorded = _settings(build_config(parse_config_file(cfg_path)))
+            recorded = settings(build_config(parse_config_file(cfg_path)))
         except (TypeError, ValueError) as exc:  # a missing key, undecodable bytes
             raise FormatError(f"{cfg_path}: not a readable run config: {exc}") from None
     opt, bank = state.optimizer, state.bank
@@ -303,7 +167,7 @@ def _check_resume_state(
 ) -> None:
     """Refuse ``state`` unless ``config`` would continue the same run: a code
     bank, a first layer as wide as the data, every setting of
-    :func:`_recorded_settings` outside ``_RESUMABLE_KEYS`` equal in value (an
+    :func:`_recorded_settings` outside ``RESUMABLE_KEYS`` equal in value (an
     int given for a float setting matches that float), and epochs left to
     train. :func:`network.load_checkpoint` has already checked the file
     against itself."""
@@ -315,11 +179,11 @@ def _check_resume_state(
         raise DimensionError(
             f"checkpoint layers do not match config: input_dim {old_dim} -> {input_dim}"
         )
-    wanted = _settings(config)
+    wanted = settings(config)
     changed = [
         f"{key} {CONFIG_KEYS[key][1](old)} -> {CONFIG_KEYS[key][1](wanted[key])}"
         for key, old in _recorded_settings(state, resume_from).items()
-        if key not in _RESUMABLE_KEYS and old != wanted[key]
+        if key not in RESUMABLE_KEYS and old != wanted[key]
     ]
     if changed:
         raise ConfigError(

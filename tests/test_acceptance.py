@@ -14,9 +14,9 @@ from targetcodes import codes as cm
 from targetcodes import data as dm
 from targetcodes import network as nm
 from targetcodes import trainer as tm
+from targetcodes.config import Hyperparams, TrainConfig
 from targetcodes.core import Rng, derive_seed
 from targetcodes.gradcheck import run_suite
-from targetcodes.losses import Hyperparams
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -80,7 +80,7 @@ def longtail_config(mode, seed, mse_w, tri_w, corr_w):
         mse_weight=mse_w, triplet_weight=tri_w, corr_weight=corr_w,
         lr_feature=0.01, lr_new=0.01, decay_epochs=(40,), margin=16.0, seed=seed,
     )
-    return tm.TrainConfig(mode=mode, hp=hp, feature_widths=(64, 32), encoder_hidden=32)
+    return TrainConfig(mode=mode, hp=hp, feature_widths=(64, 32), encoder_hidden=32)
 
 
 def test_c01_hadamard_property_suite():
@@ -142,7 +142,7 @@ def test_c04_degenerate_weight_equivalence(tmp_path):
             mse_weight=weights[0], triplet_weight=weights[1], corr_weight=weights[2],
             lr_feature=0.01, lr_new=0.01, decay_epochs=(20,), margin=16.0, seed=12,
         )
-        config = tm.TrainConfig(mode=mode, hp=hp, feature_widths=(64, 32),
+        config = TrainConfig(mode=mode, hp=hp, feature_widths=(64, 32),
                                 encoder_hidden=32, out_dir=str(tmp_path / name))
         tm.train(config, train, test)
         outputs[name] = (tmp_path / name / "metrics.jsonl").read_bytes()
@@ -240,7 +240,7 @@ def test_c06_orthogonality_pressure(tmp_path):
             corr_weight=0.1, lr_feature=0.01, lr_new=0.01,
             decay_epochs=(), margin=256.0, seed=seed,
         )
-        config = tm.TrainConfig(mode="ltc", hp=hp, feature_widths=(64, 32),
+        config = TrainConfig(mode="ltc", hp=hp, feature_widths=(64, 32),
                                 encoder_hidden=32, out_dir=str(tmp_path / f"s{seed}"))
         tm.train(config, train, test)
         run_dir = tmp_path / f"s{seed}"
@@ -266,7 +266,7 @@ def test_c07_correlation_structure_emergence():
             num_classes=8, code_length=64, epochs=40, batch_size=32,
             lr_feature=0.01, lr_new=0.01, decay_epochs=(), margin=32.0, seed=seed,
         )
-        config = tm.TrainConfig(mode="ltc", hp=hp, feature_widths=(64, 32),
+        config = TrainConfig(mode="ltc", hp=hp, feature_widths=(64, 32),
                                 encoder_hidden=32)
         result = tm.train(config, train, test)
         corr = cm.normalized_correlation(cm.activate(result.bank))
@@ -292,7 +292,7 @@ def test_c08_retrieval_sanity():
                 num_classes=4, code_length=32, epochs=40, batch_size=32,
                 lr_feature=0.01, lr_new=0.01, decay_epochs=(), margin=32.0, seed=seed,
             )
-            config = tm.TrainConfig(mode=mode, hp=hp, feature_widths=(64, 32),
+            config = TrainConfig(mode=mode, hp=hp, feature_widths=(64, 32),
                                     encoder_hidden=32)
             result = tm.train(config, train_half, train_half)
             rep = tm.retrieval_eval(result.model, held_out)
@@ -315,7 +315,7 @@ def test_c09_determinism_and_resumption(tmp_path):
         hp = Hyperparams(num_classes=8, code_length=32, epochs=epochs, batch_size=32,
                          lr_feature=0.01, lr_new=0.01, decay_epochs=(14,),
                          margin=16.0, seed=4)
-        return tm.TrainConfig(mode="ltc", hp=hp, feature_widths=(64, 32),
+        return TrainConfig(mode="ltc", hp=hp, feature_widths=(64, 32),
                               encoder_hidden=32, out_dir=str(tmp_path / out),
                               checkpoint_every=ckpt)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from targetcodes import cli, codes, data, network, trainer
+from targetcodes import cli, codes, config, data, network, trainer
 from targetcodes.codes import load_bank
 from targetcodes.core import Rng
 from targetcodes.data import load_csv
@@ -240,7 +240,7 @@ class TestTrain:
         "seed=-1", "seed=18446744073709551616",
         "decay_epochs=-1", "decay_epochs=4294967296", "checkpoint_every=-1",
         "activation=foo", "epochs=0", "eval_every=0", "feature_widths=", "epochs=abc",
-        "epochs",
+        "epochs", "encoder_hidden=0",
     ])
     def test_out_of_range_setting_exit_2(self, tmp_path, blob_csvs, capsys, setting):
         train, test = blob_csvs
@@ -375,7 +375,7 @@ class TestTrain:
     def test_resolved_config_round_trip(self, tmp_path, blob_csvs):
         train, test = blob_csvs
         run_cli(*self.train_args(tmp_path, train, test, "--mode", "ltc", "--seed", "5"))
-        resolved = trainer.parse_config_file(tmp_path / "run" / "resolved.cfg")
+        resolved = config.parse_config_file(tmp_path / "run" / "resolved.cfg")
         assert resolved["mode"] == "ltc"
         assert resolved["seed"] == 5
         assert resolved["epochs"] == 4
@@ -388,6 +388,21 @@ class TestTrain:
         assert (tmp_path / "again" / "metrics.jsonl").read_bytes() == (
             tmp_path / "run" / "metrics.jsonl"
         ).read_bytes()
+
+    def test_bad_train_flag_value_exit_2(self, tmp_path, blob_csvs, capsys):
+        train, test = blob_csvs
+        code = run_cli(*self.train_args(tmp_path, train, test, "--epochs", "abc"))
+        assert code == 2
+        assert "bad value 'abc' for epochs" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_train_flags_resolve_like_set(self, tmp_path, blob_csvs):
+        train, test = blob_csvs
+        resolved = []
+        for extra in (["--seed", "5", "--margin", "8"], ["--set", "seed=5", "--set", "margin=8"]):
+            assert run_cli(*self.train_args(tmp_path, train, test, *extra)) == 0
+            resolved.append((tmp_path / "run" / "resolved.cfg").read_bytes())
+        assert resolved[0] == resolved[1]
 
     def snapshot(self, run_dir):
         return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
@@ -406,7 +421,7 @@ class TestTrain:
         code = run_cli(*base, "--mode", "ltc", "--set", "epochs=6",
                        "--resume", str(run_dir / "ckpt_epoch2.ltck"))
         assert code == 0
-        assert trainer.parse_config_file(run_dir / "resolved.cfg")["epochs"] == 6
+        assert config.parse_config_file(run_dir / "resolved.cfg")["epochs"] == 6
 
     def test_resume_from_final_checkpoint_exit_2(self, tmp_path, blob_csvs, capsys):
         train, test = blob_csvs
@@ -488,7 +503,7 @@ class TestTrain:
         "num_classes", "code_length", "feature_widths", "encoder_hidden",
     }
 
-    @pytest.mark.parametrize("key", sorted(set(trainer.CONFIG_KEYS) - trainer._RESUMABLE_KEYS))
+    @pytest.mark.parametrize("key", sorted(set(config.CONFIG_KEYS) - config.RESUMABLE_KEYS))
     def test_resume_refuses_a_changed_setting(self, tmp_path, blob_csvs, capsys, key):
         train, test = blob_csvs
         base = self.train_args(tmp_path, train, test, "--mode", "ltc",
@@ -749,7 +764,7 @@ class TestConfigFileParsing:
         from targetcodes.errors import ConfigError
 
         with pytest.raises(ConfigError, match="frobnicate"):
-            trainer.parse_config_file(path)
+            config.parse_config_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -757,17 +772,17 @@ class TestConfigFileParsing:
         from targetcodes.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            trainer.parse_config_file(path)
+            config.parse_config_file(path)
 
     def test_format_parse_round_trip(self):
-        values = dict(cli._DEFAULTS)
+        values = dict(config.CLI_DEFAULTS)
         values.update(mode="ltc", num_classes=4, seed=3, margin=8.0,
                       train_data="a.csv", test_data="b.csv")
-        text = trainer.format_config(trainer.build_config(values))
+        text = config.format_config(config.build_config(values))
         reparsed = {}
         for line in text.splitlines():
             key, _, value = line.partition("=")
-            reparsed[key.strip()] = trainer.CONFIG_KEYS[key.strip()][0](value.strip())
+            reparsed[key.strip()] = config.CONFIG_KEYS[key.strip()][0](value.strip())
         for key, expected in values.items():
             assert reparsed[key] == expected
 
@@ -784,6 +799,11 @@ class TestLtckV1Fixture:
         ckpt = FIXTURE_V1 / "ckpt_epoch1.ltck"
         network.save_checkpoint(tmp_path / "again.ltck", network.load_checkpoint(ckpt))
         assert (tmp_path / "again.ltck").read_bytes() == ckpt.read_bytes()
+
+    def test_resolved_cfg_formats_back_to_its_bytes(self):
+        path = FIXTURE_V1 / "resolved.cfg"
+        text = config.format_config(config.build_config(config.parse_config_file(path)))
+        assert text.encode() == path.read_bytes()
 
     def test_every_truncation_is_a_format_error(self, tmp_path):
         raw = (FIXTURE_V1 / "ckpt_epoch1.ltck").read_bytes()

@@ -7,10 +7,10 @@ import pytest
 
 from targetcodes.codes import select_hadamard_codes
 from targetcodes import losses
+from targetcodes.config import Hyperparams
 from targetcodes.core import Rng, finite_diff_check, labels_array
 from targetcodes.errors import DimensionError, DomainError, UsageError
 from targetcodes.losses import (
-    Hyperparams,
     compose_objective,
     corr_consistency,
     cross_entropy,

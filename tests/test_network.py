@@ -8,6 +8,7 @@ import pytest
 
 from targetcodes import cli
 from targetcodes.codes import init_learnable_codes, select_hadamard_codes
+from targetcodes.config import Hyperparams, TrainConfig
 from targetcodes.core import Rng, finite_diff_check, pack_matrix
 from targetcodes.data import Dataset, make_blobs, save_csv
 from targetcodes.errors import (
@@ -17,7 +18,6 @@ from targetcodes.errors import (
     UsageError,
     VersionError,
 )
-from targetcodes.losses import Hyperparams
 from targetcodes.network import (
     _CHUNK,
     _layer_forward,
@@ -35,7 +35,6 @@ from targetcodes.network import (
     save_checkpoint,
     sgd_step,
 )
-from targetcodes.trainer import TrainConfig
 from targetcodes.trainer import train as train_model
 
 

@@ -18,6 +18,13 @@ from targetcodes import data as dm
 from targetcodes import losses as lm
 from targetcodes import network as nm
 from targetcodes import trainer as tm
+from targetcodes.config import (
+    Hyperparams,
+    TrainConfig,
+    build_config,
+    format_config,
+    parse_config_file,
+)
 from targetcodes.core import Rng, derive_seed
 from targetcodes.errors import (
     ConfigError,
@@ -26,7 +33,6 @@ from targetcodes.errors import (
     NumericError,
     TrainingDiverged,
 )
-from targetcodes.losses import Hyperparams
 
 
 def blob_sets(seed=3, classes=8, per_class=160, test_per_class=30, spread=1.5):
@@ -47,7 +53,7 @@ def small_config(mode, seed=3, epochs=12, out_dir=None, **hp_kw):
     )
     defaults.update(hp_kw)
     hp = Hyperparams(**defaults)
-    return tm.TrainConfig(
+    return TrainConfig(
         mode=mode, hp=hp, feature_widths=(64, 32), encoder_hidden=32, out_dir=out_dir
     )
 
@@ -260,7 +266,7 @@ class TestDeterminismAndResume:
         train_ds, test_ds = blob_sets()
         run = tmp_path / "run"
         hp = small_config("ltc", epochs=4, margin=16).hp
-        cfg = tm.TrainConfig(mode="ltc", hp=hp, feature_widths=[8], encoder_hidden=32,
+        cfg = TrainConfig(mode="ltc", hp=hp, feature_widths=[8], encoder_hidden=32,
                              checkpoint_every=2, out_dir=str(run))
         assert cfg.feature_widths == (8,)
         tm.train(cfg, train_ds, test_ds)
@@ -300,18 +306,18 @@ class TestDeterminismAndResume:
         config = small_config("ltc", epochs=1, out_dir=str(tmp_path / "r"), lr_codes=0.5)
         config.decay_codes = False
         tm.train(config, train_ds, test_ds)
-        settings = tm.parse_config_file(tmp_path / "r" / "resolved.cfg")
+        settings = parse_config_file(tmp_path / "r" / "resolved.cfg")
         assert "train_data" not in settings  # unset keys are left out
-        assert tm.build_config(settings) == config
+        assert build_config(settings) == config
 
     def test_resolved_cfg_keeps_a_hash_inside_a_path(self, tmp_path):
         train_ds, test_ds = blob_sets()
         run = tmp_path / "runs" / "#2"
         tm.train(small_config("ltc", epochs=1, out_dir=str(run)), train_ds, test_ds)
-        assert tm.parse_config_file(run / "resolved.cfg")["out_dir"] == str(run)
+        assert parse_config_file(run / "resolved.cfg")["out_dir"] == str(run)
         cfg = tmp_path / "hand.cfg"
         cfg.write_text("# a comment line\nout_dir = runs/#2\t# where it goes\n")
-        assert tm.parse_config_file(cfg) == {"out_dir": "runs/#2"}
+        assert parse_config_file(cfg) == {"out_dir": "runs/#2"}
 
     def test_metrics_jsonl_schema(self, tmp_path):
         train_ds, test_ds = blob_sets()
@@ -456,6 +462,7 @@ class TestNonFiniteGradient:
 KILLED_RUN = """
 import os, signal, sys
 from targetcodes import trainer as tm
+from targetcodes.config import build_config, parse_config_file
 
 def die():
     os.kill(os.getpid(), signal.SIGKILL)
@@ -476,7 +483,7 @@ else:
         steps.append(epoch)
         if steps.count(4) == 3:
             die()
-tm.train(tm.build_config(tm.parse_config_file(sys.argv[1])), batch_hook=hook)
+tm.train(build_config(parse_config_file(sys.argv[1])), batch_hook=hook)
 """
 
 
@@ -504,7 +511,7 @@ class TestKillAndResume:
         run = root / point
         config = dataclasses.replace(config, out_dir=str(run))
         cfg_path = root / f"{point}.cfg"
-        cfg_path.write_text(tm.format_config(config))
+        cfg_path.write_text(format_config(config))
         src = os.path.dirname(os.path.dirname(tm.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p
