@@ -96,8 +96,9 @@ class ModelParams:
 
     ``flat`` holds every layer's weight then bias, in ``all_layers()``
     order, and the layers' arrays are views of it. :func:`init_model` and
-    :func:`load_checkpoint` build models so; :func:`init_optimizer` lays out
-    one built by hand, which :func:`sgd_step` needs.
+    :func:`load_checkpoint` build models so, and :func:`sgd_step` trains
+    no other. A model built by hand, with ``flat`` None, still runs
+    :func:`forward`, evaluation and :func:`save_checkpoint`.
     """
 
     feature: list[DenseLayer]
@@ -242,20 +243,17 @@ def forward(
     return z, logits, v, ForwardCache(model, io)
 
 
-class Gradients(list):
-    """What :func:`backward` returns: one (grad_weight, grad_bias) pair per
-    layer it reached, in ``all_layers()`` order, each pair views of the one
-    flat buffer ``flat`` that :func:`sgd_step` reads. Assigning a pair to an
-    index copies it into that layer's views, so ``flat`` holds what the
-    list holds."""
+class Gradients(tuple):
+    """What :func:`backward` returns, and the only gradients that
+    :func:`sgd_step` takes: one (grad_weight, grad_bias) pair per layer it
+    reached, in ``all_layers()`` order, each pair views of the one flat
+    buffer ``flat``. No pair can be replaced, so ``flat`` always holds
+    what the pairs hold; edit a gradient in place through its views."""
 
-    def __init__(self, flat: np.ndarray, pairs: list[tuple[Matrix, Matrix]]):
-        super().__init__(pairs)
-        self.flat = flat
-
-    def __setitem__(self, i: int, pair) -> None:
-        for view, value in zip(self[i], pair):
-            view[...] = value
+    def __new__(cls, flat: np.ndarray, pairs: list[tuple[Matrix, Matrix]]):
+        grads = super().__new__(cls, pairs)
+        grads.flat = flat
+        return grads
 
 
 def backward(
@@ -351,16 +349,9 @@ _HP_SETTINGS = (*_OPT_SCALARS[:-1], "decay_epochs", "decay_factor")
 
 
 def init_optimizer(model: ModelParams, hp, decay_codes: bool = True) -> Optimizer:
-    """Fresh optimizer with zeroed momentum buffers for ``model``. A model
-    whose layers are not views of its ``flat`` buffer yet is first copied
-    into a fresh one, and its layers rebound to their views."""
-    layers = model.all_layers()
-    if not _views_of(model.flat, [(l.weight, l.bias) for l in layers]):
-        model.flat, pairs = _flat([l.weight.shape for l in layers])
-        for layer, (w, b) in zip(layers, pairs):
-            w[...], b[...] = layer.weight, layer.bias
-            layer.weight, layer.bias = w, b
-    flat, bufs = _flat([l.weight.shape for l in layers], np.zeros)
+    """Fresh optimizer with zeroed momentum buffers, laid out like the flat
+    store of ``model``."""
+    flat, bufs = _flat([l.weight.shape for l in model.all_layers()], np.zeros)
     return Optimizer(
         **{k: getattr(hp, k) for k in _HP_SETTINGS},
         decay_codes=decay_codes,
@@ -375,9 +366,9 @@ def sgd_step(opt: Optimizer, model: ModelParams, grads, epoch: int) -> None:
     of at most ``_CHUNK`` elements; the feature span takes the feature
     rate and the rest the new-head rate.
 
-    ``grads`` is what :func:`backward` returns, or any list of
-    (grad_weight, grad_bias) pairs in ``all_layers()`` order; the encoder
-    is skipped when its gradients are absent (plain classification). All
+    ``grads`` is what :func:`backward` returns for ``model``, which
+    :func:`init_model` or :func:`load_checkpoint` built; the encoder is
+    skipped when its gradients are absent (plain classification). All
     gradients are validated before any parameter changes, so a numeric
     error leaves the model untouched.
     """
@@ -385,18 +376,15 @@ def sgd_step(opt: Optimizer, model: ModelParams, grads, epoch: int) -> None:
     n = len(model.feature)
     if len(grads) not in (n + 1, len(layers)):
         raise DimensionError("gradient count does not match model")
-    p, buf = model.flat, opt.flat
+    if not isinstance(grads, Gradients):
+        raise UsageError("gradients must be what backward returns")
+    p, buf, g = model.flat, opt.flat, grads.flat
     params = [(l.weight, l.bias) for l in layers]
     if not (_views_of(p, params) and _views_of(buf, opt.bufs) and buf.size == p.size):
-        raise UsageError("model and momentum are not one flat store: use init_optimizer")
-    if isinstance(grads, Gradients):  # backward laid it out like the store
-        g = grads.flat
-    elif [a.shape for pair in grads for a in pair] != [
-        a.shape for l in layers[: len(grads)] for a in (l.weight, l.bias)
-    ]:
-        raise DimensionError("gradient shapes do not match model")
-    else:
-        g = np.concatenate([a.ravel() for pair in grads for a in pair])
+        raise UsageError(
+            "model and momentum are not one flat store: build the model with "
+            "init_model or load_checkpoint, and its momentum with init_optimizer"
+        )
     sizes = [w.size + b.size for w, b in params]
     if g.size != sum(sizes[: len(grads)]):
         raise DimensionError("gradient shapes do not match model")

@@ -287,9 +287,10 @@ def train(
             fh.write(format_config(config))
         with atomic_open(metrics_path, "wb") as fh:
             fh.writelines(kept)
-        metrics_fh = open(metrics_path, "a")
         if resume_from is None:
             export_code_correlation(bank, os.path.join(out_dir, "corr_init.csv"))
+        # opened last: only the try/finally below closes it
+        metrics_fh = open(metrics_path, "a")
 
     batch_seed = derive_seed(hp.seed, STREAM_BATCHES)
     regularized = config.mode in (HTC, LTC)

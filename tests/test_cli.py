@@ -339,7 +339,7 @@ class TestTrain:
             grads = real_backward(*args, **kwargs)
             steps.append(None)
             if len(steps) == 12:  # in epoch 2 of 8 steps each
-                grads[0] = (np.full_like(grads[0][0], np.inf), grads[0][1])
+                grads[0][0][0, 0] = np.inf
             return grads
 
         monkeypatch.setattr(network, "backward", backward)

@@ -203,13 +203,13 @@ class TestOptimizer:
 
     def test_two_momentum_steps_displacement(self):
         # buf1 = g, buf2 = 0.9 g + g, so total displacement is lr*g*(1 + 1.9)
-        layer = DenseLayer(np.array([[1.0]]), np.zeros((1, 1)), "none")
-        model = ModelParams(feature=[], classifier=layer, encoder=[])
+        model = init_model(1, (), 1, 1, 1, Rng(20))
+        model.classifier.weight[0, 0] = 1.0
         hp = Hyperparams(num_classes=1, code_length=1, momentum=0.9, weight_decay=0.0,
                          lr_new=0.01)
-        # encoder-free model exercises the classifier group only
+        # the plain classification path exercises the classifier group only
         opt = init_optimizer(model, hp)
-        grads = [(np.array([[2.0]]), np.zeros((1, 1)))]
+        grads = backward(model, forward(model, [[1.0]], semantic=False)[3], [[2.0]])
         sgd_step(opt, model, grads, 0)
         sgd_step(opt, model, grads, 0)
         assert model.classifier.weight[0, 0] == pytest.approx(1.0 - 0.01 * 2.0 * 2.9, rel=1e-12)
@@ -233,12 +233,12 @@ class TestOptimizer:
         assert decayed.lr(GROUP_CODES, 10) == pytest.approx(hp.lr_codes * 0.1)
 
     def test_weight_decay_pulls_toward_zero(self):
-        layer = DenseLayer(np.array([[10.0]]), np.zeros((1, 1)), "none")
-        model = ModelParams(feature=[], classifier=layer, encoder=[])
+        model = init_model(1, (), 1, 1, 1, Rng(21))
+        model.classifier.weight[0, 0] = 10.0
         hp = Hyperparams(num_classes=1, code_length=1, momentum=0.0, weight_decay=0.1,
                          lr_new=0.5)
         opt = init_optimizer(model, hp)
-        grads = [(np.zeros((1, 1)), np.zeros((1, 1)))]
+        grads = backward(model, forward(model, [[1.0]], semantic=False)[3], [[0.0]])
         sgd_step(opt, model, grads, 0)
         assert model.classifier.weight[0, 0] == pytest.approx(10.0 - 0.5 * 0.1 * 10.0)
 
@@ -251,7 +251,7 @@ class TestOptimizer:
         sgd_step(opt, model, backward(model, cache, np.ones_like(logits), np.ones_like(v)), 0)
         grads = backward(model, cache, np.zeros_like(logits), np.zeros_like(v))
         i = len(model.feature) + 2  # the second encoder layer
-        grads[i] = (np.full_like(grads[i][0], np.nan), grads[i][1])
+        grads[i][0][...] = np.nan
         before = [(l.weight.copy(), l.bias.copy()) for l in model.all_layers()]
         momentum = [(bw.copy(), bb.copy()) for bw, bb in opt.bufs]
         with pytest.raises(NumericError):
@@ -337,14 +337,40 @@ class TestFlatStore:
         assert not np.array_equal(model.flat[:end], params[:end])
         assert not np.array_equal(opt.flat[:end], momentum[:end])
 
-    def test_init_optimizer_lays_out_a_model_built_by_hand(self):
+    def test_a_model_built_by_hand_is_refused(self, tmp_path):
         model = zero_model()
         model.classifier.weight[:] = Rng(85).normals(5, 3)
-        weight = model.classifier.weight.copy()
+        before = [(l.weight.copy(), l.bias.copy()) for l in model.all_layers()]
         opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=6))
-        assert_one_flat_store(model, opt)
-        assert model.classifier.weight.tobytes() == weight.tobytes()
+        _, logits, v, cache = forward(model, Rng(91).normals(2, 4))
+        grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
+        with pytest.raises(UsageError, match="init_model or load_checkpoint"):
+            sgd_step(opt, model, grads, 0)
+        assert model.flat is None
+        for layer, (weight, bias) in zip(model.all_layers(), before):
+            assert layer.weight.tobytes() == weight.tobytes()
+            assert layer.bias.tobytes() == bias.tobytes()
         assert not opt.flat.any()
+        # it still saves, and loads back as one flat store
+        path = tmp_path / "hand.ltck"
+        save_checkpoint(path, CheckpointState(
+            mode="baseline", seed=1, rng_state=2, epoch=0, model=model, optimizer=opt, bank=None,
+        ))
+        loaded = load_checkpoint(path)
+        assert_one_flat_store(loaded.model, loaded.optimizer)
+        assert loaded.model.flat.tobytes() == b"".join(a.tobytes() for pair in before for a in pair)
+
+    def test_gradients_not_from_backward_are_refused(self):
+        model = toy_model(92)
+        opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
+        opt.flat[:] = Rng(93).normals(1, opt.flat.size)[0]  # non-zero momentum
+        params, momentum = model.flat.copy(), opt.flat.copy()
+        _, logits, v, cache = forward(model, Rng(94).normals(2, 8))
+        grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
+        with pytest.raises(UsageError, match="what backward returns"):
+            sgd_step(opt, model, list(grads), 0)
+        assert model.flat.tobytes() == params.tobytes()
+        assert opt.flat.tobytes() == momentum.tobytes()
 
     def test_a_layer_rebound_after_init_optimizer_is_refused(self):
         model = toy_model(86)
