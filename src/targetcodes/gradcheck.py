@@ -163,18 +163,15 @@ def _check_network(rng: Rng, h: float, tol: float) -> GradCheckReport:
         raise DomainError("could not sample a resolvable network instance")
     worst = GradCheckReport(0.0, 0.0, (0, 0), True)
     for layer, (gw, gb) in zip(model.all_layers(), grads):
-        for attr, analytic in (("weight", gw), ("bias", gb)):
-            original = getattr(layer, attr)
+        for param, analytic in ((layer.weight, gw), (layer.bias, gb)):
+            original = param.copy()
 
-            def f(p, _layer=layer, _attr=attr):
-                saved = getattr(_layer, _attr)
-                setattr(_layer, _attr, p)
-                try:
-                    return _network_loss(model, x, y, s, hp)[0].total
-                finally:
-                    setattr(_layer, _attr, saved)
+            def f(p, _param=param):
+                _param[...] = p  # in place: the layer is a view of the flat store
+                return _network_loss(model, x, y, s, hp)[0].total
 
             rep = finite_diff_check(f, original, analytic, h=h, tol=tol)
+            param[...] = original
             if rep.max_rel_err >= worst.max_rel_err:
                 worst = rep
     return worst

@@ -5,6 +5,8 @@ The model is three sub-networks sharing one trunk: a feature extractor
 (ReLU MLP) producing z, a linear classifier producing logits, and a
 three-layer semantic encoder (ReLU, ReLU, tanh) producing a semantic code
 in (-1, 1)^L. Inference uses only the extractor and the classifier.
+:func:`layer_specs` states this architecture once, and every model is
+built from it.
 
 Parameters, momentum and gradients each live in one flat float64 buffer,
 every layer's weight then bias in ``all_layers()`` order, and the
@@ -50,61 +52,53 @@ _CKPT_VERSION = 1
 _CHUNK = 1 << 15
 
 
-def _flat(dims, fill=np.empty) -> tuple[np.ndarray, list[tuple[Matrix, Matrix]]]:
-    """The one allocation site of the flat store: a fresh 1-D float64
-    buffer holding, for each ``(fan_in, fan_out)`` of ``dims``, a weight
-    then a bias, back to back, and each such (weight, bias) pair as views
-    of it. One pass over ``dims``: backward runs this every step."""
-    flat = fill(sum([(r + 1) * c for r, c in dims]))
+def _views(flat: np.ndarray, shapes) -> list[tuple[Matrix, Matrix]]:
+    """For each ``(fan_in, fan_out)`` of ``shapes``, a weight then a bias
+    as views of ``flat``, back to back from its start."""
     pairs, at = [], 0
-    for r, c in dims:
+    for r, c in shapes:
         end = at + r * c
         pairs.append((flat[at:end].reshape(r, c), flat[end : end + c].reshape(1, c)))
         at = end + c
-    return flat, pairs
+    return pairs
 
 
-def _check_bias(weight_shape, bias_shape) -> None:
-    if bias_shape != (1, weight_shape[1]):
-        raise DimensionError(f"bias shape {bias_shape} does not match weight {weight_shape}")
+def _flat(shapes, fill=np.empty) -> tuple[np.ndarray, list[tuple[Matrix, Matrix]]]:
+    """The one allocation site of the flat store: a fresh 1-D float64
+    buffer sized for ``shapes``, and its :func:`_views`. Backward runs this
+    every step."""
+    flat = fill(sum([(r + 1) * c for r, c in shapes]))
+    return flat, _views(flat, shapes)
 
 
-def _views_of(flat: Optional[np.ndarray], pairs) -> bool:
-    """Whether every array of ``pairs`` is a view of ``flat``."""
-    return flat is not None and all(a.base is flat for pair in pairs for a in pair)
-
-
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
-    """Fully connected layer: out = act(x @ weight + bias)."""
+    """Fully connected layer: out = act(x @ weight + bias). Its arrays are
+    views of its model's flat store and its activation comes from
+    :func:`layer_specs`; edit the arrays in place, as rebinding them fails."""
 
     weight: Matrix  # (fan_in, fan_out)
     bias: Matrix  # (1, fan_out)
-    activation: str = NONE
-
-    def __post_init__(self):
-        self.weight = as_matrix(self.weight)
-        self.bias = as_matrix(self.bias)
-        _check_bias(self.weight.shape, self.bias.shape)
-        if self.activation not in _ACT_CODES:
-            raise UsageError(f"unknown activation {self.activation!r}")
+    activation: str
 
 
-@dataclass
 class ModelParams:
-    """Feature extractor layers, classifier layer, and semantic encoder layers.
-
-    ``flat`` holds every layer's weight then bias, in ``all_layers()``
-    order, and the layers' arrays are views of it. :func:`init_model` and
-    :func:`load_checkpoint` build models so, and :func:`sgd_step` trains
-    no other. A model built by hand, with ``flat`` None, still runs
-    :func:`forward`, evaluation and :func:`save_checkpoint`.
+    """The model that :func:`layer_specs` lays out for ``dims``, its
+    ``(input_dim, feature_widths, num_classes, encoder_hidden,
+    code_length)`` with ``feature_widths`` a tuple, over the flat store
+    ``flat``: the feature layers, the classifier layer and the semantic
+    encoder layers, each weight then bias in ``all_layers()`` order.
+    :func:`init_model` and :func:`load_checkpoint` build every model so.
     """
 
-    feature: list[DenseLayer]
-    classifier: DenseLayer
-    encoder: list[DenseLayer]
-    flat: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    def __init__(self, dims, flat: np.ndarray):
+        self.dims, self.flat = dims, flat
+        specs = layer_specs(*dims)
+        pairs = _views(flat, [(fan_in, fan_out) for fan_in, fan_out, _ in specs])
+        layers = [DenseLayer(w, b, act) for (w, b), (_, _, act) in zip(pairs, specs)]
+        n = len(dims[1])
+        self.feature, self.classifier = tuple(layers[:n]), layers[n]
+        self.encoder = tuple(layers[n + 1 :])
 
     def all_layers(self) -> list[DenseLayer]:
         return [*self.feature, self.classifier, *self.encoder]
@@ -172,16 +166,6 @@ def layer_specs(
     return specs
 
 
-def model_dims(model: ModelParams) -> tuple[int, tuple[int, ...], int, int, int]:
-    """``(input_dim, feature_widths, num_classes, encoder_hidden,
-    code_length)`` read from ``model``'s weight shapes: the arguments of
-    :func:`layer_specs` for a model that it lays out."""
-    shapes = [l.weight.shape for l in model.all_layers()]
-    n = len(model.feature)
-    hidden = shapes[n + 1][1] if model.encoder else 0
-    return shapes[0][0], tuple(w for _, w in shapes[:n]), shapes[n][1], hidden, shapes[-1][1]
-
-
 def init_model(
     input_dim: int,
     feature_widths: tuple[int, ...],
@@ -195,19 +179,15 @@ def init_model(
     ReLU layers use std sqrt(2 / fan_in) to preserve activation variance;
     the classifier and the final tanh layer use std sqrt(1 / fan_in).
     """
-    if input_dim < 1 or num_classes < 1 or encoder_hidden < 1 or code_length < 1:
+    dims = (input_dim, tuple(feature_widths), num_classes, encoder_hidden, code_length)
+    if min(input_dim, *dims[1], num_classes, encoder_hidden, code_length) < 1:
         raise DomainError("all model dimensions must be positive")
-    specs = layer_specs(input_dim, feature_widths, num_classes, encoder_hidden, code_length)
-    flat, pairs = _flat([(i, o) for i, o, _ in specs], np.zeros)
-    layers = []
-    for (fan_in, fan_out, act), (w, b) in zip(specs, pairs):
-        std = np.sqrt(2.0 / fan_in) if act == RELU else np.sqrt(1.0 / fan_in)
-        np.multiply(rng.normals(fan_in, fan_out), std, out=w)
-        layers.append(DenseLayer(w, b, act))
-    n = len(feature_widths)
-    return ModelParams(
-        feature=layers[:n], classifier=layers[n], encoder=layers[n + 1 :], flat=flat
-    )
+    model = ModelParams(dims, np.zeros(sum([(i + 1) * o for i, o, _ in layer_specs(*dims)])))
+    for layer in model.all_layers():
+        fan_in, fan_out = layer.weight.shape
+        std = np.sqrt(2.0 / fan_in) if layer.activation == RELU else np.sqrt(1.0 / fan_in)
+        np.multiply(rng.normals(fan_in, fan_out), std, out=layer.weight)
+    return model
 
 
 def forward(
@@ -219,11 +199,8 @@ def forward(
     ``semantic`` is False (plain classification path).
     """
     x = as_matrix(x)
-    first = model.feature[0] if model.feature else model.classifier
-    if x.shape[1] != first.weight.shape[0]:
-        raise DimensionError(
-            f"input dim {x.shape[1]} does not match first layer {first.weight.shape[0]}"
-        )
+    if x.shape[1] != model.dims[0]:
+        raise DimensionError(f"input dim {x.shape[1]} does not match first layer {model.dims[0]}")
     io = []
     h = x
     for layer in model.feature:
@@ -312,11 +289,9 @@ class Optimizer:
     step-decay schedule shared by every group.
 
     ``decay_codes=False`` exempts the code learning rate from the schedule.
-    ``flat`` is the momentum buffer, laid out like the model's ``flat``,
-    and ``bufs`` holds its (weight, bias) views, one pair per layer in
-    ``all_layers()`` order. Momentum buffers exist for model parameters
-    only; learnable codes take plain gradient steps at
-    ``lr(GROUP_CODES, epoch)``.
+    ``flat`` is the momentum buffer, laid out like the model's ``flat``.
+    Momentum exists for model parameters only; learnable codes take plain
+    gradient steps at ``lr(GROUP_CODES, epoch)``.
     """
 
     momentum: float
@@ -326,9 +301,8 @@ class Optimizer:
     lr_codes: float
     decay_epochs: tuple[int, ...]
     decay_factor: float
+    flat: np.ndarray = field(repr=False)
     decay_codes: bool = True
-    bufs: list[tuple[Matrix, Matrix]] = field(default_factory=list, repr=False)
-    flat: Optional[np.ndarray] = field(default=None, repr=False)
 
     def lr(self, group: str, epoch: int) -> float:
         base = {
@@ -349,15 +323,19 @@ _HP_SETTINGS = (*_OPT_SCALARS[:-1], "decay_epochs", "decay_factor")
 
 
 def init_optimizer(model: ModelParams, hp, decay_codes: bool = True) -> Optimizer:
-    """Fresh optimizer with zeroed momentum buffers, laid out like the flat
-    store of ``model``."""
-    flat, bufs = _flat([l.weight.shape for l in model.all_layers()], np.zeros)
+    """Fresh optimizer whose momentum is zeros the size of ``model.flat``."""
     return Optimizer(
         **{k: getattr(hp, k) for k in _HP_SETTINGS},
+        flat=np.zeros(model.flat.size),
         decay_codes=decay_codes,
-        bufs=bufs,
-        flat=flat,
     )
+
+
+def _check_momentum(opt: Optimizer, model: ModelParams) -> None:
+    if opt.flat.size != model.flat.size:
+        raise DimensionError(
+            f"momentum size {opt.flat.size} does not match model size {model.flat.size}"
+        )
 
 
 def sgd_step(opt: Optimizer, model: ModelParams, grads, epoch: int) -> None:
@@ -366,9 +344,8 @@ def sgd_step(opt: Optimizer, model: ModelParams, grads, epoch: int) -> None:
     of at most ``_CHUNK`` elements; the feature span takes the feature
     rate and the rest the new-head rate.
 
-    ``grads`` is what :func:`backward` returns for ``model``, which
-    :func:`init_model` or :func:`load_checkpoint` built; the encoder is
-    skipped when its gradients are absent (plain classification). All
+    ``grads`` is what :func:`backward` returns for ``model``; the encoder
+    is skipped when its gradients are absent (plain classification). All
     gradients are validated before any parameter changes, so a numeric
     error leaves the model untouched.
     """
@@ -378,14 +355,9 @@ def sgd_step(opt: Optimizer, model: ModelParams, grads, epoch: int) -> None:
         raise DimensionError("gradient count does not match model")
     if not isinstance(grads, Gradients):
         raise UsageError("gradients must be what backward returns")
+    _check_momentum(opt, model)
     p, buf, g = model.flat, opt.flat, grads.flat
-    params = [(l.weight, l.bias) for l in layers]
-    if not (_views_of(p, params) and _views_of(buf, opt.bufs) and buf.size == p.size):
-        raise UsageError(
-            "model and momentum are not one flat store: build the model with "
-            "init_model or load_checkpoint, and its momentum with init_optimizer"
-        )
-    sizes = [w.size + b.size for w, b in params]
+    sizes = [l.weight.size + l.bias.size for l in layers]
     if g.size != sum(sizes[: len(grads)]):
         raise DimensionError("gradient shapes do not match model")
     if not np.isfinite(g).all():
@@ -434,8 +406,10 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     + weight + bias matrices; the classifier layer; u32 encoder layer count
     and its layers; the momentum buffers in the same order; u8 bank flag
     and, when set, the :func:`codes.pack_bank` section. Matrices serialize
-    as :func:`core.pack_matrix`.
+    as :func:`core.pack_matrix`. Momentum sized unlike the model raises
+    DimensionError and writes nothing.
     """
+    _check_momentum(state.optimizer, state.model)
     parts = [
         _CKPT_MAGIC,
         struct.pack(
@@ -463,9 +437,9 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     parts.append(struct.pack("<Id", len(opt.decay_epochs), opt.decay_factor))
     for d in opt.decay_epochs:
         parts.append(struct.pack("<I", d))
-    for bw, bb in opt.bufs:
-        parts.append(pack_matrix(bw))
-        parts.append(pack_matrix(bb))
+    shapes = [l.weight.shape for l in state.model.all_layers()]
+    for pair in _views(opt.flat, shapes):
+        parts += [pack_matrix(a) for a in pair]
     if state.bank is None:
         parts.append(struct.pack("<B", 0))
     else:
@@ -496,7 +470,7 @@ def load_checkpoint(path) -> CheckpointState:
         mode_code, seed, rng_state, epoch = rd.unpack("<IQQI")
         if mode_code not in _MODE_NAMES:
             raise FormatError(f"unknown mode code {mode_code}")
-        counts, acts, dims, offsets = [], [], [], []
+        counts, acts, shapes, offsets = [], [], [], []
         for section in range(3):  # feature, classifier, encoder
             counts.append(rd.unpack("<I")[0])
             if section == 1 and counts[-1] != 1:
@@ -510,25 +484,28 @@ def load_checkpoint(path) -> CheckpointState:
                 offsets.append(rd.skip(8 * weight[0] * weight[1]))
                 bias = rd.unpack("<II")
                 offsets.append(rd.skip(8 * bias[0] * bias[1]))
-                _check_bias(weight, bias)
-                dims.append(weight)
-        flat, pairs = _flat(dims)
-        layers = [DenseLayer(w, b, act) for (w, b), act in zip(pairs, acts)]
+                if bias != (1, weight[1]):
+                    raise DimensionError(f"bias shape {bias} does not match weight {weight}")
+                shapes.append(weight)
+        for shape in shapes:
+            if 0 in shape:
+                raise DimensionError(f"matrix must be non-empty, got shape {shape}")
         n = counts[0]
-        model = ModelParams(
-            feature=layers[:n], classifier=layers[n], encoder=layers[n + 1 :], flat=flat
-        )
-        got = [(*l.weight.shape, l.activation) for l in layers]
-        if got != layer_specs(*model_dims(model)):
+        hidden = shapes[n + 1][1] if counts[2] else 0
+        dims = (shapes[0][0], tuple(w for _, w in shapes[:n]), shapes[n][1], hidden, shapes[-1][1])
+        got = [(*shape, act) for shape, act in zip(shapes, acts)]
+        if got != layer_specs(*dims):
             raise FormatError(f"checkpoint layers {got} do not chain into one model")
+        flat, pairs = _flat(shapes)
         for at, view in zip(offsets, [a for pair in pairs for a in pair]):
             rd.fill(view, at)
+        model = ModelParams(dims, flat)
         settings = dict(zip(_OPT_SCALARS, rd.unpack("<ddddd?")))
         n_decay, settings["decay_factor"] = rd.unpack("<Id")
         settings["decay_epochs"] = tuple(rd.unpack("<I")[0] for _ in range(n_decay))
-        momentum, bufs = _flat(dims)
-        opt = Optimizer(**settings, bufs=bufs, flat=momentum)
-        for i, (layer, pair) in enumerate(zip(layers, opt.bufs)):
+        momentum, bufs = _flat(shapes)
+        opt = Optimizer(**settings, flat=momentum)
+        for i, (layer, pair) in enumerate(zip(model.all_layers(), bufs)):
             got = []
             for view in pair:
                 got.append(rd.unpack("<II"))
@@ -546,7 +523,7 @@ def load_checkpoint(path) -> CheckpointState:
         rd.finish()
     mode = _MODE_NAMES[mode_code]
     if bank is not None:
-        _, _, num_classes, _, code_length = model_dims(model)
+        _, _, num_classes, _, code_length = model.dims
         if bank.weights.shape != (num_classes, code_length):
             raise FormatError(
                 f"checkpoint code bank is {bank.num_classes} x {bank.code_length}, but its "

@@ -150,13 +150,11 @@ def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict
         except (TypeError, ValueError) as exc:  # a missing key, undecodable bytes
             raise FormatError(f"{cfg_path}: not a readable run config: {exc}") from None
     opt, bank = state.optimizer, state.bank
-    # every Optimizer field but the momentum buffers is a config key
-    recorded.update(
-        (f.name, getattr(opt, f.name)) for f in fields(opt) if f.name not in ("bufs", "flat")
-    )
+    # every Optimizer field but the momentum buffer is a config key
+    recorded.update((f.name, getattr(opt, f.name)) for f in fields(opt) if f.name != "flat")
     recorded.update(mode=state.mode, seed=state.seed)
     (_, recorded["feature_widths"], recorded["num_classes"], recorded["encoder_hidden"],
-     recorded["code_length"]) = net_mod.model_dims(state.model)
+     recorded["code_length"]) = state.model.dims
     if bank.kind == codes_mod.LEARNABLE:
         recorded.update(activation=bank.activation, tanh_scale=bank.tanh_scale)
     return recorded
@@ -174,7 +172,7 @@ def _check_resume_state(
     hp = config.hp
     if state.bank is None:
         raise ConfigError("checkpoint is missing the code bank")
-    old_dim = net_mod.model_dims(state.model)[0]
+    old_dim = state.model.dims[0]
     if old_dim != input_dim:
         raise DimensionError(
             f"checkpoint layers do not match config: input_dim {old_dim} -> {input_dim}"
@@ -405,7 +403,7 @@ def _blocks(model: net_mod.ModelParams, X):
     """Yield ``(first row, trunk embeddings, logits)`` per block of ``X``:
     :func:`_block_rows` of the widest trunk or classifier layer. The forward
     raises for rows it cannot take, an empty ``X`` included."""
-    rows = _block_rows(max(l.weight.shape[1] for l in [*model.feature, model.classifier]))
+    rows = _block_rows(max((*model.dims[1], model.dims[2])))
     for r0 in range(0, max(len(X), 1), rows):
         yield r0, *net_mod.forward(model, X[r0 : r0 + rows], semantic=False)[:2]
 

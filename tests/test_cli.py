@@ -14,6 +14,8 @@ from targetcodes.core import Rng
 from targetcodes.data import load_csv
 from targetcodes.errors import FormatError
 
+from ltck_writer import layer_sections, momentum_matrices, write_ltck
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -546,9 +548,9 @@ class TestTrain:
         run_dir = tmp_path / "run"
         ckpt = run_dir / "ckpt_epoch2.ltck"
         state = network.load_checkpoint(ckpt)
-        bw, bb = state.optimizer.bufs[1]
-        state.optimizer.bufs[1] = (bw[:, :-1], bb)
-        network.save_checkpoint(ckpt, state)
+        momentum = momentum_matrices(state)
+        momentum[2] = momentum[2][:, :-1]  # layer 1's weight
+        write_ltck(ckpt, layer_sections(state.model), momentum, state)
         before = self.snapshot(run_dir)
         capsys.readouterr()
         assert run_cli(*base, "--resume", str(ckpt)) == 2
@@ -698,9 +700,10 @@ class TestEval:
         run_cli(*TestTrain().train_args(tmp_path, train, test, "--mode", "baseline"))
         ckpt = tmp_path / "run" / "ckpt_final.ltck"
         state = network.load_checkpoint(ckpt)
-        layer = state.model.feature[1]
-        layer.weight = np.vstack([layer.weight, np.zeros((1, 16))])  # fan-in 33 after 32
-        network.save_checkpoint(ckpt, state)
+        sections = layer_sections(state.model)
+        act, weight, bias = sections[0][1]
+        sections[0][1] = (act, np.vstack([weight, np.zeros((1, 16))]), bias)  # fan-in 33 after 32
+        write_ltck(ckpt, sections, momentum_matrices(state), state)
         capsys.readouterr()
         assert run_cli("eval", "--checkpoint", str(ckpt), "--data", str(test)) == 2
         assert "do not chain into one model" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Forward/backward correctness, the grouped optimizer, and checkpoint I/O."""
 
+import dataclasses
+import re
 import struct
 import tracemalloc
 
@@ -15,18 +17,19 @@ from targetcodes.errors import (
     DimensionError,
     FormatError,
     NumericError,
+    TargetCodesError,
     UsageError,
     VersionError,
 )
 from targetcodes.network import (
     _CHUNK,
     _layer_forward,
+    _views,
     GROUP_CODES,
     GROUP_FEATURE,
     GROUP_NEW,
     CheckpointState,
     DenseLayer,
-    ModelParams,
     backward,
     forward,
     init_model,
@@ -37,20 +40,22 @@ from targetcodes.network import (
 )
 from targetcodes.trainer import train as train_model
 
+from ltck_writer import layer_sections, momentum_matrices, write_ltck
+
 
 def toy_model(seed=0, input_dim=8, widths=(10, 8), classes=3, hidden=8, length=8):
     return init_model(input_dim, widths, classes, hidden, length, Rng(seed))
 
 
 def zero_model(input_dim=4, classes=3, hidden=5, length=6):
-    def zl(i, o, act):
-        return DenseLayer(np.zeros((i, o)), np.zeros((1, o)), act)
+    model = init_model(input_dim, (5,), classes, hidden, length, Rng(0))
+    model.flat[:] = 0.0
+    return model
 
-    return ModelParams(
-        feature=[zl(input_dim, 5, "relu")],
-        classifier=zl(5, classes, "none"),
-        encoder=[zl(5, hidden, "relu"), zl(hidden, hidden, "relu"), zl(hidden, length, "tanh")],
-    )
+
+def momentum_views(model, opt):
+    """The (weight, bias) momentum pairs of ``opt``, one per layer of ``model``."""
+    return _views(opt.flat, [l.weight.shape for l in model.all_layers()])
 
 
 class TestForward:
@@ -62,15 +67,8 @@ class TestForward:
         assert not v.any()  # tanh(0) = 0
 
     def test_identity_feature_layer(self):
-        model = ModelParams(
-            feature=[DenseLayer(np.eye(4), np.zeros((1, 4)), "none")],
-            classifier=DenseLayer(np.zeros((4, 2)), np.zeros((1, 2)), "none"),
-            encoder=[
-                DenseLayer(np.zeros((4, 3)), np.zeros((1, 3)), "relu"),
-                DenseLayer(np.zeros((3, 3)), np.zeros((1, 3)), "relu"),
-                DenseLayer(np.zeros((3, 5)), np.zeros((1, 5)), "tanh"),
-            ],
-        )
+        # without a feature layer, the trunk embedding is the input itself
+        model = init_model(4, (), 2, 3, 5, Rng(0))
         x = Rng(2).normals(6, 4)
         z, _, _, _ = forward(model, x)
         assert np.array_equal(z, x)
@@ -175,15 +173,14 @@ class TestBackward:
         bundle, cache = objective()
         grads = backward(model, cache, bundle.grad_logits, bundle.grad_semantic)
         for layer, (gw, _) in zip(model.all_layers(), grads):
-            def f(p, _layer=layer):
-                saved = _layer.weight
-                _layer.weight = p
-                try:
-                    return objective()[0].total
-                finally:
-                    _layer.weight = saved
+            original = layer.weight.copy()
 
-            report = finite_diff_check(f, layer.weight, gw, h=1e-5, tol=1e-5)
+            def f(p, _weight=layer.weight):
+                _weight[...] = p  # in place: the layer is a view of the flat store
+                return objective()[0].total
+
+            report = finite_diff_check(f, original, gw, h=1e-5, tol=1e-5)
+            layer.weight[...] = original
             assert report.passed, (mode, report)
 
 
@@ -253,15 +250,13 @@ class TestOptimizer:
         i = len(model.feature) + 2  # the second encoder layer
         grads[i][0][...] = np.nan
         before = [(l.weight.copy(), l.bias.copy()) for l in model.all_layers()]
-        momentum = [(bw.copy(), bb.copy()) for bw, bb in opt.bufs]
+        momentum = opt.flat.copy()
         with pytest.raises(NumericError):
             sgd_step(opt, model, grads, 0)
         for layer, (weight, bias) in zip(model.all_layers(), before):
             np.testing.assert_array_equal(layer.weight, weight)
             np.testing.assert_array_equal(layer.bias, bias)
-        for (bw, bb), (was_w, was_b) in zip(opt.bufs, momentum):
-            np.testing.assert_array_equal(bw, was_w)
-            np.testing.assert_array_equal(bb, was_b)
+        np.testing.assert_array_equal(opt.flat, momentum)
 
     def test_gradient_count_unlike_the_model_rejected(self):
         model = toy_model(28)
@@ -279,7 +274,7 @@ def assert_one_flat_store(model, opt):
     """Every layer's weight then bias, in ``all_layers()`` order, sits back
     to back in ``model.flat``, and its momentum likewise in ``opt.flat``."""
     params = [a for l in model.all_layers() for a in (l.weight, l.bias)]
-    momentum = [a for pair in opt.bufs for a in pair]
+    momentum = [a for pair in momentum_views(model, opt) for a in pair]
     for flat, views in ((model.flat, params), (opt.flat, momentum)):
         start = flat.__array_interface__["data"][0]
         at = 0
@@ -315,7 +310,7 @@ class TestFlatStore:
                     p -= lr * buf
             sgd_step(opt, model, grads, epoch)
         for layer, (w, b), (bw, bb), (got_bw, got_bb) in zip(
-            model.all_layers(), want, want_bufs, opt.bufs
+            model.all_layers(), want, want_bufs, momentum_views(model, opt)
         ):
             assert layer.weight.tobytes() == w.tobytes()
             assert layer.bias.tobytes() == b.tobytes()
@@ -337,29 +332,6 @@ class TestFlatStore:
         assert not np.array_equal(model.flat[:end], params[:end])
         assert not np.array_equal(opt.flat[:end], momentum[:end])
 
-    def test_a_model_built_by_hand_is_refused(self, tmp_path):
-        model = zero_model()
-        model.classifier.weight[:] = Rng(85).normals(5, 3)
-        before = [(l.weight.copy(), l.bias.copy()) for l in model.all_layers()]
-        opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=6))
-        _, logits, v, cache = forward(model, Rng(91).normals(2, 4))
-        grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
-        with pytest.raises(UsageError, match="init_model or load_checkpoint"):
-            sgd_step(opt, model, grads, 0)
-        assert model.flat is None
-        for layer, (weight, bias) in zip(model.all_layers(), before):
-            assert layer.weight.tobytes() == weight.tobytes()
-            assert layer.bias.tobytes() == bias.tobytes()
-        assert not opt.flat.any()
-        # it still saves, and loads back as one flat store
-        path = tmp_path / "hand.ltck"
-        save_checkpoint(path, CheckpointState(
-            mode="baseline", seed=1, rng_state=2, epoch=0, model=model, optimizer=opt, bank=None,
-        ))
-        loaded = load_checkpoint(path)
-        assert_one_flat_store(loaded.model, loaded.optimizer)
-        assert loaded.model.flat.tobytes() == b"".join(a.tobytes() for pair in before for a in pair)
-
     def test_gradients_not_from_backward_are_refused(self):
         model = toy_model(92)
         opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
@@ -377,9 +349,22 @@ class TestFlatStore:
         opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
         _, logits, v, cache = forward(model, Rng(87).normals(2, 8))
         grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
-        model.classifier.weight = model.classifier.weight.copy()
-        with pytest.raises(UsageError, match="one flat store"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.classifier.weight = model.classifier.weight.copy()
+        assert model.classifier.weight.base is model.flat
+        sgd_step(opt, model, grads, 0)
+        assert opt.flat.any()
+
+    def test_momentum_of_another_model_is_refused(self):
+        model = toy_model(95)
+        opt = init_optimizer(toy_model(95, hidden=9), Hyperparams(num_classes=3, code_length=8))
+        params = model.flat.copy()
+        _, logits, v, cache = forward(model, Rng(96).normals(2, 8))
+        grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
+        with pytest.raises(DimensionError, match="momentum size"):
             sgd_step(opt, model, grads, 0)
+        assert model.flat.tobytes() == params.tobytes()
+        assert not opt.flat.any()
 
     def test_loaded_and_resumed_models_are_one_flat_store(self, tmp_path):
         model = toy_model(88)
@@ -436,6 +421,11 @@ class TestInitModel:
         assert acts == ["relu", "relu", "tanh"]
         assert model.encoder[-1].weight.shape[1] == 20
 
+    @pytest.mark.parametrize("widths", [(0,), (3, 0)])
+    def test_a_zero_feature_width_is_refused(self, widths):
+        with pytest.raises(TargetCodesError):
+            init_model(4, widths, 2, 3, 5, Rng(35))
+
 
 class TestCheckpoint:
     def build_state(self, seed=40, **dims):
@@ -445,7 +435,7 @@ class TestCheckpoint:
         opt = init_optimizer(model, hp)
         # dirty the buffers so serialization covers non-zero state
         rng = Rng(seed + 1)
-        for bw, bb in opt.bufs:
+        for bw, bb in momentum_views(model, opt):
             bw[:] = rng.normals(*bw.shape)
             bb[:] = rng.normals(*bb.shape)
         bank = init_learnable_codes(classes, length, Rng(seed + 2))
@@ -467,9 +457,8 @@ class TestCheckpoint:
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
             assert la.activation == lb.activation
-        assert len(loaded.optimizer.bufs) == len(state.optimizer.bufs)
-        for (bw, bb), (lw, lb) in zip(state.optimizer.bufs, loaded.optimizer.bufs):
-            assert np.array_equal(bw, lw) and np.array_equal(bb, lb)
+        assert loaded.optimizer.flat.size == state.optimizer.flat.size
+        assert np.array_equal(state.optimizer.flat, loaded.optimizer.flat)
         assert np.array_equal(state.bank.weights, loaded.bank.weights)
         assert loaded.optimizer.decay_epochs == state.optimizer.decay_epochs
 
@@ -577,24 +566,59 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit", ["fan_in", "activation", "encoder_depth"])
     def test_layers_that_do_not_chain_rejected(self, tmp_path, edit):
         state = self.build_state()
-        model = state.model
+        sections = layer_sections(state.model)
+        feature, (classifier,), encoder = sections
         if edit == "fan_in":
-            model.feature[1].weight = np.zeros((11, 8))
+            feature[1] = (feature[1][0], np.zeros((11, 8)), feature[1][2])
         elif edit == "activation":
-            model.classifier.activation = "relu"
+            sections[1] = [("relu", *classifier[1:])]
         else:
-            del model.encoder[1]
+            del encoder[1]
         path = tmp_path / "chain.ltck"
-        save_checkpoint(path, state)
+        write_ltck(path, sections, momentum_matrices(state), state)
         with pytest.raises(FormatError, match="do not chain"):
             load_checkpoint(path)
 
+    def test_the_test_writer_packs_what_save_checkpoint_writes(self, tmp_path):
+        # the malformed files below are written by ltck_writer, so it must
+        # agree with save_checkpoint on every well-formed file
+        state = self.build_state()
+        save_checkpoint(tmp_path / "saved.ltck", state)
+        write_ltck(tmp_path / "packed.ltck", layer_sections(state.model),
+                   momentum_matrices(state), state)
+        assert (tmp_path / "packed.ltck").read_bytes() == (tmp_path / "saved.ltck").read_bytes()
+
+    def test_momentum_of_another_model_is_not_saved(self, tmp_path):
+        # refused by the writer, not written as a file that load_checkpoint refuses
+        state = self.build_state()
+        for hidden in (7, 9):
+            other = toy_model(hidden=hidden)
+            state.optimizer = init_optimizer(other, Hyperparams(num_classes=3, code_length=8))
+            with pytest.raises(DimensionError, match="momentum size"):
+                save_checkpoint(tmp_path / "other.ltck", state)
+            assert not (tmp_path / "other.ltck").exists()
+
+    def test_zero_sized_layers_rejected(self, tmp_path, capsys):
+        # the layers chain into one model, but its input is 0 wide
+        shapes = [("relu", 0, 4), ("none", 4, 2), ("relu", 4, 3), ("relu", 3, 3), ("tanh", 3, 5)]
+        layers = [(act, np.zeros((i, o)), np.zeros((1, o))) for act, i, o in shapes]
+        path = tmp_path / "empty.ltck"
+        write_ltck(path, [layers[:1], layers[1:2], layers[2:]],
+                   [a for _, w, b in layers for a in (w, b)])
+        message = "matrix must be non-empty, got shape (0, 4)"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            load_checkpoint(path)
+        data = tmp_path / "data.csv"
+        save_csv(Dataset(np.zeros((3, 4)), np.arange(3) % 2), data)
+        assert cli.main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_misshaped_momentum_buffer_rejected(self, tmp_path):
         state = self.build_state()
-        bw, bb = state.optimizer.bufs[-1]
-        state.optimizer.bufs[-1] = (bw, np.zeros((1, 9)))
+        momentum = momentum_matrices(state)
+        momentum[-1] = np.zeros((1, 9))
         path = tmp_path / "buf.ltck"
-        save_checkpoint(path, state)
+        write_ltck(path, layer_sections(state.model), momentum, state)
         with pytest.raises(FormatError, match="momentum buffers .* of layer 5"):
             load_checkpoint(path)
 

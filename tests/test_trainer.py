@@ -406,7 +406,7 @@ class TestNonFiniteGradient:
         def state_bytes(model, optimizer, bank):
             return (
                 [(layer.weight.tobytes(), layer.bias.tobytes()) for layer in model.all_layers()],
-                [(bw.tobytes(), bb.tobytes()) for bw, bb in optimizer.bufs],
+                optimizer.flat.tobytes(),
                 bank.weights.tobytes(),
             )
 
@@ -585,19 +585,18 @@ class TestAtomicWrites:
         assert sorted(os.listdir(tmp_path)) == listing
 
 
+def classifier_model(weight):
+    """A model whose logits are its input times ``weight``: no feature layer."""
+    model = nm.init_model(weight.shape[0], (), weight.shape[1], 2, 2, Rng(64))
+    model.classifier.weight[...] = weight
+    return model
+
+
 class TestEvaluate:
     def test_uniformly_random_logits_near_chance(self):
         rng = Rng(60)
         logits = rng.normals(1000, 10)
-        model = nm.ModelParams(
-            feature=[],
-            classifier=nm.DenseLayer(np.eye(10), np.zeros((1, 10)), "none"),
-            encoder=[
-                nm.DenseLayer(np.zeros((10, 4)), np.zeros((1, 4)), "relu"),
-                nm.DenseLayer(np.zeros((4, 4)), np.zeros((1, 4)), "relu"),
-                nm.DenseLayer(np.zeros((4, 8)), np.zeros((1, 8)), "tanh"),
-            ],
-        )
+        model = classifier_model(np.eye(10))
         y = np.arange(1000) % 10
         ds = dm.Dataset(X=logits, y=y)
         top1, top5 = tm.evaluate(model, ds)
@@ -607,15 +606,7 @@ class TestEvaluate:
     def test_perfect_logits(self):
         y = np.array([0, 1, 2, 1])
         x = np.eye(3)[y] * 10.0
-        model = nm.ModelParams(
-            feature=[],
-            classifier=nm.DenseLayer(np.eye(3), np.zeros((1, 3)), "none"),
-            encoder=[
-                nm.DenseLayer(np.zeros((3, 2)), np.zeros((1, 2)), "relu"),
-                nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "relu"),
-                nm.DenseLayer(np.zeros((2, 4)), np.zeros((1, 4)), "tanh"),
-            ],
-        )
+        model = classifier_model(np.eye(3))
         ds = dm.Dataset(X=x, y=y)
         top1, top5 = tm.evaluate(model, ds)
         assert top1 == 1.0 and top5 == 1.0
@@ -629,24 +620,12 @@ class TestEvaluate:
     def test_inference_ignores_encoder_and_bank(self):
         train_ds, test_ds = blob_sets()
         result = tm.train(small_config("ltc", epochs=4), train_ds, test_ds)
-        before = tm.evaluate(result.model, test_ds)
-        stripped = nm.ModelParams(
-            feature=result.model.feature, classifier=result.model.classifier, encoder=[]
-        )
-        assert tm.evaluate(stripped, test_ds) == before
-
-
-def classifier_model(weight):
-    """A model whose logits are its input times ``weight``: no feature layer."""
-    return nm.ModelParams(
-        feature=[],
-        classifier=nm.DenseLayer(weight, np.zeros((1, weight.shape[1])), "none"),
-        encoder=[
-            nm.DenseLayer(np.zeros((weight.shape[0], 2)), np.zeros((1, 2)), "relu"),
-            nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "relu"),
-            nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "tanh"),
-        ],
-    )
+        model = result.model
+        before = tm.evaluate(model, test_ds)
+        # the encoder's span of the flat store follows the classifier's
+        trunk = sum(l.weight.size + l.bias.size for l in (*model.feature, model.classifier))
+        model.flat[trunk:] = np.nan
+        assert tm.evaluate(model, test_ds) == before
 
 
 class TestEvaluateRanking:
@@ -785,16 +764,8 @@ class TestBlockedScoring:
 
 
 def identity_model(dim):
-    """A model whose trunk embedding is its input: one identity "none" layer."""
-    return nm.ModelParams(
-        feature=[nm.DenseLayer(np.eye(dim), np.zeros((1, dim)), "none")],
-        classifier=nm.DenseLayer(np.zeros((dim, 2)), np.zeros((1, 2)), "none"),
-        encoder=[
-            nm.DenseLayer(np.zeros((dim, 2)), np.zeros((1, 2)), "relu"),
-            nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "relu"),
-            nm.DenseLayer(np.zeros((2, 2)), np.zeros((1, 2)), "tanh"),
-        ],
-    )
+    """A model whose trunk embedding is its input: no feature layer."""
+    return nm.init_model(dim, (), 2, 2, 2, Rng(73))
 
 
 class TestRetrieval:
@@ -873,7 +844,7 @@ class TestRetrieval:
 
     def test_non_finite_embedding_rejected(self):
         # a Dataset refuses a NaN feature, so the NaN comes from the model
-        model = identity_model(4)
+        model = nm.init_model(4, (4,), 2, 2, 2, Rng(74))
         model.feature[0].bias[0, 1] = np.nan
         with pytest.raises(NumericError):
             tm.retrieval_eval(model, dm.Dataset(np.eye(4), np.array([0, 0, 1, 1])), ks=(1,))
