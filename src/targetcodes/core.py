@@ -195,15 +195,19 @@ class Rng:
     def normals(self, rows: int, cols: int) -> Matrix:
         """Matrix of i.i.d. standard normals, filled row-major: the values
         of ``rows * cols`` calls to :meth:`normal`."""
-        n = rows * cols
-        z = self._draws(2 * n) >> np.uint64(11)
-        u1 = (z[0::2] + np.uint64(1)) * 2.0**-53
-        u2 = z[1::2] * 2.0**-53
-        # math.log/math.cos, not np.log/np.cos: numpy's differ by an ulp on
-        # some inputs; sqrt and * are correctly rounded in both
-        log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, n)
-        cos_u2 = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, n)
-        return (np.sqrt(-2.0 * log_u1) * cos_u2).reshape(rows, cols)
+        out = np.empty(rows * cols)
+        # 4096 values per pass, so the temporaries do not grow with the matrix
+        for a in range(0, out.size, 4096):
+            n = min(4096, out.size - a)
+            z = self._draws(2 * n) >> np.uint64(11)
+            u1 = (z[0::2] + np.uint64(1)) * 2.0**-53
+            u2 = z[1::2] * 2.0**-53
+            # math.log/math.cos, not np.log/np.cos: numpy's differ by an ulp on
+            # some inputs; sqrt and * are correctly rounded in both
+            log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, n)
+            cos_u2 = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, n)
+            np.multiply(np.sqrt(-2.0 * log_u1), cos_u2, out=out[a : a + n])
+        return out.reshape(rows, cols)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection."""

@@ -64,9 +64,8 @@ def _views(flat: np.ndarray, shapes) -> list[tuple[Matrix, Matrix]]:
 
 
 def _flat(shapes, fill=np.empty) -> tuple[np.ndarray, list[tuple[Matrix, Matrix]]]:
-    """The one allocation site of the flat store: a fresh 1-D float64
-    buffer sized for ``shapes``, and its :func:`_views`. Backward runs this
-    every step."""
+    """A fresh 1-D float64 buffer sized for ``shapes``, made by ``fill``,
+    and its :func:`_views`."""
     flat = fill(sum([(r + 1) * c for r, c in shapes]))
     return flat, _views(flat, shapes)
 
@@ -89,6 +88,11 @@ class ModelParams:
     ``flat``: the feature layers, the classifier layer and the semantic
     encoder layers, each weight then bias in ``all_layers()`` order.
     :func:`init_model` and :func:`load_checkpoint` build every model so.
+
+    ``grad`` is its one gradient store, laid out like ``flat``, and
+    ``grads`` the per-layer (grad_weight, grad_bias) views of it. The first
+    :func:`backward` allocates them, so a model that only evaluates holds
+    none.
     """
 
     def __init__(self, dims, flat: np.ndarray):
@@ -99,6 +103,8 @@ class ModelParams:
         n = len(dims[1])
         self.feature, self.classifier = tuple(layers[:n]), layers[n]
         self.encoder = tuple(layers[n + 1 :])
+        self.grad: Optional[np.ndarray] = None
+        self.grads: list[tuple[Matrix, Matrix]] = []
 
     def all_layers(self) -> list[DenseLayer]:
         return [*self.feature, self.classifier, *self.encoder]
@@ -220,33 +226,23 @@ def forward(
     return z, logits, v, ForwardCache(model, io)
 
 
-class Gradients(tuple):
-    """What :func:`backward` returns, and the only gradients that
-    :func:`sgd_step` takes: one (grad_weight, grad_bias) pair per layer it
-    reached, in ``all_layers()`` order, each pair views of the one flat
-    buffer ``flat``. No pair can be replaced, so ``flat`` always holds
-    what the pairs hold; edit a gradient in place through its views."""
-
-    def __new__(cls, flat: np.ndarray, pairs: list[tuple[Matrix, Matrix]]):
-        grads = super().__new__(cls, pairs)
-        grads.flat = flat
-        return grads
-
-
 def backward(
     model: ModelParams,
     cache: ForwardCache,
     grad_logits,
     grad_semantic=None,
-) -> Gradients:
+) -> list[tuple[Matrix, Matrix]]:
     """Exact reverse-mode parameter gradients for one forward pass, one
     (grad_weight, grad_bias) pair per layer in ``all_layers()`` order,
-    written into one fresh flat buffer.
+    written into the model's gradient store ``model.grad`` (allocated by
+    the first call) and returned as its views ``model.grads``. The next
+    backward on the same model overwrites them: copy a pair to keep it.
 
     The feature trunk receives the sum of the classifier-path and
     semantic-path gradients. Pass ``grad_semantic=None`` to skip the
     encoder entirely; its pairs are then absent from the result, which
-    covers only the feature and classifier prefix of the flat store.
+    covers only the feature and classifier prefix of the store, and the
+    encoder's span of the store keeps what it held.
     """
     if cache.model is not model:
         raise UsageError("cache does not belong to this model")
@@ -269,7 +265,9 @@ def backward(
             )
     else:
         layers = layers[: n + 1]
-    grads = Gradients(*_flat([l.weight.shape for l in layers]))
+    if model.grad is None:  # zeros: the span a baseline step skips is defined too
+        model.grad, model.grads = _flat([l.weight.shape for l in model.all_layers()], np.zeros)
+    grads = model.grads[: len(layers)]
     grad_z = _layer_backward(model.classifier, z, logits, grad_logits, grads[n])
     if grad_semantic is not None:
         g = grad_semantic
@@ -344,23 +342,22 @@ def sgd_step(opt: Optimizer, model: ModelParams, grads, epoch: int) -> None:
     of at most ``_CHUNK`` elements; the feature span takes the feature
     rate and the rest the new-head rate.
 
-    ``grads`` is what :func:`backward` returns for ``model``; the encoder
-    is skipped when its gradients are absent (plain classification). All
-    gradients are validated before any parameter changes, so a numeric
-    error leaves the model untouched.
+    ``grads`` is what :func:`backward` returned for ``model``: views of the
+    model's gradient store ``model.grad``, which is what the step reads.
+    Their count says how far the step goes: the encoder is skipped when
+    its pairs are absent (plain classification). The gradient is validated
+    before any parameter changes, so a numeric error leaves the model
+    untouched.
     """
     layers = model.all_layers()
     n = len(model.feature)
     if len(grads) not in (n + 1, len(layers)):
         raise DimensionError("gradient count does not match model")
-    if not isinstance(grads, Gradients):
-        raise UsageError("gradients must be what backward returns")
     _check_momentum(opt, model)
-    p, buf, g = model.flat, opt.flat, grads.flat
     sizes = [l.weight.size + l.bias.size for l in layers]
-    if g.size != sum(sizes[: len(grads)]):
-        raise DimensionError("gradient shapes do not match model")
-    if not np.isfinite(g).all():
+    p, buf, g = model.flat, opt.flat, model.grad[: sum(sizes[: len(grads)])]
+    # checked a slice at a time, so no mask the size of the store is allocated
+    if not all(np.isfinite(g[a : a + _CHUNK]).all() for a in range(0, g.size, _CHUNK)):
         raise NumericError("parameter gradient contains non-finite entries")
     split = sum(sizes[:n])  # where the feature span ends
     lr_feature, lr_new = opt.lr(GROUP_FEATURE, epoch), opt.lr(GROUP_NEW, epoch)
@@ -409,45 +406,35 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     as :func:`core.pack_matrix`. Momentum sized unlike the model raises
     DimensionError and writes nothing.
     """
-    _check_momentum(state.optimizer, state.model)
-    parts = [
-        _CKPT_MAGIC,
-        struct.pack(
+    model, opt = state.model, state.optimizer
+    _check_momentum(opt, model)
+    with atomic_open(path, "wb") as fh:
+        # each section is written as soon as it is packed: no copy of the file
+        fh.write(_CKPT_MAGIC)
+        fh.write(struct.pack(
             "<IIQQI",
             _CKPT_VERSION,
             _MODE_CODES[state.mode],
             state.seed & (2**64 - 1),
             state.rng_state & (2**64 - 1),
             state.epoch,
-        ),
-    ]
-
-    def pack_layers(layers):
-        parts.append(struct.pack("<I", len(layers)))
-        for layer in layers:
-            parts.append(struct.pack("<B", _ACT_CODES[layer.activation]))
-            parts.append(pack_matrix(layer.weight))
-            parts.append(pack_matrix(layer.bias))
-
-    pack_layers(state.model.feature)
-    pack_layers([state.model.classifier])
-    pack_layers(state.model.encoder)
-    opt = state.optimizer
-    parts.append(struct.pack("<ddddd?", *(getattr(opt, k) for k in _OPT_SCALARS)))
-    parts.append(struct.pack("<Id", len(opt.decay_epochs), opt.decay_factor))
-    for d in opt.decay_epochs:
-        parts.append(struct.pack("<I", d))
-    shapes = [l.weight.shape for l in state.model.all_layers()]
-    for pair in _views(opt.flat, shapes):
-        parts += [pack_matrix(a) for a in pair]
-    if state.bank is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        parts.append(struct.pack("<B", 1))
-        parts.append(codes_mod.pack_bank(state.bank))
-    with atomic_open(path, "wb") as fh:
-        for part in parts:  # no joined copy of the whole file
-            fh.write(part)
+        ))
+        for layers in (model.feature, [model.classifier], model.encoder):
+            fh.write(struct.pack("<I", len(layers)))
+            for layer in layers:
+                fh.write(struct.pack("<B", _ACT_CODES[layer.activation]))
+                fh.write(pack_matrix(layer.weight))
+                fh.write(pack_matrix(layer.bias))
+        fh.write(struct.pack("<ddddd?", *(getattr(opt, k) for k in _OPT_SCALARS)))
+        fh.write(struct.pack("<Id", len(opt.decay_epochs), opt.decay_factor))
+        for d in opt.decay_epochs:
+            fh.write(struct.pack("<I", d))
+        for pair in _views(opt.flat, [l.weight.shape for l in model.all_layers()]):
+            for a in pair:
+                fh.write(pack_matrix(a))
+        fh.write(struct.pack("<B", state.bank is not None))
+        if state.bank is not None:
+            fh.write(codes_mod.pack_bank(state.bank))
 
 
 def load_checkpoint(path) -> CheckpointState:

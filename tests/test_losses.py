@@ -257,7 +257,7 @@ class TestComposeObjective:
         hp = self.hp(mse_weight=1.0, triplet_weight=0.01, corr_weight=0.1)
         bundle = compose_objective("ltc", hp, *inputs)
         expected = mse[2] + 0.01 * tri[2] + 0.1 * corr[1]
-        np.testing.assert_allclose(bundle.grad_codes, expected, atol=1e-15)
+        np.testing.assert_array_equal(bundle.grad_codes, expected)
         expected_v = mse[1] + 0.01 * tri[1]
         np.testing.assert_allclose(bundle.grad_semantic, expected_v, atol=1e-15)
 

@@ -53,6 +53,11 @@ def zero_model(input_dim=4, classes=3, hidden=5, length=6):
     return model
 
 
+def copied(grads):
+    """A copy of each (grad_weight, grad_bias) pair that backward returned."""
+    return [(gw.copy(), gb.copy()) for gw, gb in grads]
+
+
 def momentum_views(model, opt):
     """The (weight, bias) momentum pairs of ``opt``, one per layer of ``model``."""
     return _views(opt.flat, [l.weight.shape for l in model.all_layers()])
@@ -113,7 +118,8 @@ class TestBackward:
         x = Rng(10).normals(5, 8)
         _, logits, v, cache = forward(model, x)
         g_logits = Rng(11).normals(*logits.shape)
-        with_zero_v = backward(model, cache, g_logits, np.zeros_like(v))
+        # copied: the next backward overwrites the views a backward returns
+        with_zero_v = copied(backward(model, cache, g_logits, np.zeros_like(v)))
         _, _, _, cache2 = forward(model, x, semantic=False)
         without = backward(model, cache2, g_logits, None)
         assert len(without) == len(model.feature) + 1
@@ -127,8 +133,8 @@ class TestBackward:
         _, logits, v, cache = forward(model, x)
         g_logits = Rng(14).normals(*logits.shape)
         g_v = Rng(15).normals(*v.shape)
-        both = backward(model, cache, g_logits, g_v)
-        ce_only = backward(model, cache, g_logits, np.zeros_like(v))
+        both = copied(backward(model, cache, g_logits, g_v))
+        ce_only = copied(backward(model, cache, g_logits, np.zeros_like(v)))
         sem_only = backward(model, cache, np.zeros_like(logits), g_v)
         trunk = slice(0, len(model.feature))
         for (gw, _), (gw_c, _), (gw_s, _) in zip(both[trunk], ce_only[trunk], sem_only[trunk]):
@@ -320,29 +326,44 @@ class TestFlatStore:
         model = toy_model(82)
         opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
         opt.flat[:] = Rng(83).normals(1, opt.flat.size)[0]  # non-zero momentum
-        params, momentum = model.flat.copy(), opt.flat.copy()
-        _, logits, _, cache = forward(model, Rng(84).normals(4, 8), semantic=False)
+        x = Rng(84).normals(4, 8)
+        _, logits, v, cache = forward(model, x)
+        backward(model, cache, np.ones_like(logits), np.ones_like(v))  # the encoder's too
+        params, momentum, grad = model.flat.copy(), opt.flat.copy(), model.grad.copy()
+        _, logits, _, cache = forward(model, x, semantic=False)
         grads = backward(model, cache, np.ones_like(logits), None)
         assert len(grads) == len(model.feature) + 1
         sgd_step(opt, model, grads, 0)
-        end = grads.flat.size  # the feature and classifier prefix
-        assert end == sum(l.weight.size + l.bias.size for l in model.all_layers()[:len(grads)])
+        # the feature and classifier prefix
+        end = sum(l.weight.size + l.bias.size for l in model.all_layers()[:len(grads)])
         assert model.flat[end:].tobytes() == params[end:].tobytes()
         assert opt.flat[end:].tobytes() == momentum[end:].tobytes()
+        assert model.grad[end:].tobytes() == grad[end:].tobytes() and grad[end:].any()
         assert not np.array_equal(model.flat[:end], params[:end])
         assert not np.array_equal(opt.flat[:end], momentum[:end])
 
-    def test_gradients_not_from_backward_are_refused(self):
-        model = toy_model(92)
+    def test_every_backward_fills_one_store_per_model(self, tmp_path):
+        model = toy_model(94)
         opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
-        opt.flat[:] = Rng(93).normals(1, opt.flat.size)[0]  # non-zero momentum
-        params, momentum = model.flat.copy(), opt.flat.copy()
-        _, logits, v, cache = forward(model, Rng(94).normals(2, 8))
-        grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
-        with pytest.raises(UsageError, match="what backward returns"):
-            sgd_step(opt, model, list(grads), 0)
-        assert model.flat.tobytes() == params.tobytes()
-        assert opt.flat.tobytes() == momentum.tobytes()
+        path = tmp_path / "state.ltck"
+        save_checkpoint(path, CheckpointState(
+            mode="ltc", seed=1, rng_state=2, epoch=1, model=model, optimizer=opt,
+            bank=init_learnable_codes(3, 8, Rng(95)),
+        ))
+        rng = Rng(96)
+        for m in (model, load_checkpoint(path).model):
+            assert m.grad is None  # a model that only evaluates holds no store
+            _, logits, v, cache = forward(m, rng.normals(3, 8))
+            first = backward(m, cache, rng.normals(*logits.shape), rng.normals(*v.shape))
+            store = m.grad
+            assert store.size == m.flat.size
+            second = backward(m, cache, rng.normals(*logits.shape), None)
+            third = backward(m, cache, rng.normals(*logits.shape), rng.normals(*v.shape))
+            assert m.grad is store
+            for later in (second, third):
+                for (gw, gb), (gw1, gb1) in zip(later, first):
+                    assert gw.base is store and gb.base is store
+                    assert np.shares_memory(gw, gw1) and np.shares_memory(gb, gb1)
 
     def test_a_layer_rebound_after_init_optimizer_is_refused(self):
         model = toy_model(86)
