@@ -151,7 +151,7 @@ def _check_network(rng: Rng, h: float, tol: float) -> GradCheckReport:
     for _ in range(_MAX_RESAMPLE):
         model, x, y, s = _network_instance(rng, hp)
         bundle, cache = _network_loss(model, x, y, s, hp)
-        grads = net_mod.backward(model, cache, bundle.grad_logits, bundle.grad_semantic)
+        grads = net_mod.backward(cache, bundle.grad_logits, bundle.grad_semantic)
         nonzero = np.abs(model.grad[model.grad != 0.0])
         # entries near the central-difference resolution limit at h=1e-5
         # (roundoff eps*|f|/2h plus h^2 truncation) cannot be compared at
@@ -179,9 +179,10 @@ def _check_network(rng: Rng, h: float, tol: float) -> GradCheckReport:
 
 def run_suite(
     seed: int,
-    rounds: int = 20,
+    *,
+    rounds: int,
+    tol: float,
     h: float = 1e-5,
-    tol: float = 1e-5,
     perturb: bool = False,
 ) -> list[CheckRow]:
     """Run every gradient check ``rounds`` times and summarize per check.

@@ -63,10 +63,10 @@ def _views(flat: np.ndarray, shapes) -> list[tuple[Matrix, Matrix]]:
     return pairs
 
 
-def _flat(shapes, fill=np.empty) -> tuple[np.ndarray, list[tuple[Matrix, Matrix]]]:
-    """A fresh 1-D float64 buffer sized for ``shapes``, made by ``fill``,
-    and its :func:`_views`."""
-    flat = fill(sum([(r + 1) * c for r, c in shapes]))
+def _flat(shapes) -> tuple[np.ndarray, list[tuple[Matrix, Matrix]]]:
+    """A fresh zeroed 1-D float64 buffer sized for ``shapes``, and its
+    :func:`_views`."""
+    flat = np.zeros(sum([(r + 1) * c for r, c in shapes]))
     return flat, _views(flat, shapes)
 
 
@@ -84,27 +84,35 @@ class DenseLayer:
 class ModelParams:
     """The model that :func:`layer_specs` lays out for ``dims``, its
     ``(input_dim, feature_widths, num_classes, encoder_hidden,
-    code_length)`` with ``feature_widths`` a tuple, over the flat store
-    ``flat``: the feature layers, the classifier layer and the semantic
-    encoder layers, each weight then bias in ``all_layers()`` order.
-    :func:`init_model` and :func:`load_checkpoint` build every model so.
+    code_length)`` with ``feature_widths`` a tuple, over a zeroed flat
+    store ``flat`` of its own: the feature layers, the classifier layer and
+    the semantic encoder layers, each weight then bias in ``all_layers()``
+    order, their ``(fan_in, fan_out)`` in ``shapes``. The feature span of
+    ``flat`` ends at ``feature_end`` and the classifier's at
+    ``classifier_end``. :func:`init_model` and :func:`load_checkpoint`
+    build every model so.
 
     ``grad`` is its one gradient store, laid out like ``flat``, and
     ``grads`` the per-layer (grad_weight, grad_bias) views of it. The first
     :func:`backward` allocates them, so a model that only evaluates holds
-    none.
+    none. ``grad_end`` is where the span of ``grad`` that the last backward
+    filled ends: ``classifier_end``, or the size of the store.
     """
 
-    def __init__(self, dims, flat: np.ndarray):
-        self.dims, self.flat = dims, flat
+    def __init__(self, dims):
+        self.dims = dims
         specs = layer_specs(*dims)
-        pairs = _views(flat, [(fan_in, fan_out) for fan_in, fan_out, _ in specs])
+        self.shapes = [(fan_in, fan_out) for fan_in, fan_out, _ in specs]
+        self.flat, pairs = _flat(self.shapes)
         layers = [DenseLayer(w, b, act) for (w, b), (_, _, act) in zip(pairs, specs)]
         n = len(dims[1])
         self.feature, self.classifier = tuple(layers[:n]), layers[n]
         self.encoder = tuple(layers[n + 1 :])
+        sizes = [(r + 1) * c for r, c in self.shapes]
+        self.feature_end, self.classifier_end = sum(sizes[:n]), sum(sizes[: n + 1])
         self.grad: Optional[np.ndarray] = None
         self.grads: list[tuple[Matrix, Matrix]] = []
+        self.grad_end = 0
 
     def all_layers(self) -> list[DenseLayer]:
         return [*self.feature, self.classifier, *self.encoder]
@@ -188,9 +196,8 @@ def init_model(
     dims = (input_dim, tuple(feature_widths), num_classes, encoder_hidden, code_length)
     if min(input_dim, *dims[1], num_classes, encoder_hidden, code_length) < 1:
         raise DomainError("all model dimensions must be positive")
-    model = ModelParams(dims, np.zeros(sum([(i + 1) * o for i, o, _ in layer_specs(*dims)])))
-    for layer in model.all_layers():
-        fan_in, fan_out = layer.weight.shape
+    model = ModelParams(dims)
+    for layer, (fan_in, fan_out) in zip(model.all_layers(), model.shapes):
         std = np.sqrt(2.0 / fan_in) if layer.activation == RELU else np.sqrt(1.0 / fan_in)
         np.multiply(rng.normals(fan_in, fan_out), std, out=layer.weight)
     return model
@@ -226,26 +233,21 @@ def forward(
     return z, logits, v, ForwardCache(model, io)
 
 
-def backward(
-    model: ModelParams,
-    cache: ForwardCache,
-    grad_logits,
-    grad_semantic=None,
-) -> list[tuple[Matrix, Matrix]]:
-    """Exact reverse-mode parameter gradients for one forward pass, one
-    (grad_weight, grad_bias) pair per layer in ``all_layers()`` order,
-    written into the model's gradient store ``model.grad`` (allocated by
-    the first call) and returned as its views ``model.grads``. The next
-    backward on the same model overwrites them: copy a pair to keep it.
+def backward(cache: ForwardCache, grad_logits, grad_semantic=None) -> list[tuple[Matrix, Matrix]]:
+    """Exact reverse-mode parameter gradients for the forward pass that
+    made ``cache``, one (grad_weight, grad_bias) pair per layer in
+    ``all_layers()`` order, written into the gradient store ``grad`` of
+    ``cache.model`` (allocated by the first call) and returned as its views
+    ``grads``. The next backward on the same model overwrites them: copy a
+    pair to keep it.
 
     The feature trunk receives the sum of the classifier-path and
     semantic-path gradients. Pass ``grad_semantic=None`` to skip the
-    encoder entirely; its pairs are then absent from the result, which
-    covers only the feature and classifier prefix of the store, and the
-    encoder's span of the store keeps what it held.
+    encoder entirely; its pairs are then absent from the result, the
+    model's ``grad_end`` marks only the feature and classifier prefix of
+    the store as filled, and the encoder's span keeps what it held.
     """
-    if cache.model is not model:
-        raise UsageError("cache does not belong to this model")
+    model = cache.model
     layers = model.all_layers()
     n = len(model.feature)
     grad_logits = as_matrix(grad_logits)
@@ -266,7 +268,8 @@ def backward(
     else:
         layers = layers[: n + 1]
     if model.grad is None:  # zeros: the span a baseline step skips is defined too
-        model.grad, model.grads = _flat([l.weight.shape for l in model.all_layers()], np.zeros)
+        model.grad, model.grads = _flat(model.shapes)
+    model.grad_end = model.classifier_end if grad_semantic is None else model.grad.size
     grads = model.grads[: len(layers)]
     grad_z = _layer_backward(model.classifier, z, logits, grad_logits, grads[n])
     if grad_semantic is not None:
@@ -300,7 +303,7 @@ class Optimizer:
     decay_epochs: tuple[int, ...]
     decay_factor: float
     flat: np.ndarray = field(repr=False)
-    decay_codes: bool = True
+    decay_codes: bool
 
     def lr(self, group: str, epoch: int) -> float:
         base = {
@@ -336,30 +339,26 @@ def _check_momentum(opt: Optimizer, model: ModelParams) -> None:
         )
 
 
-def sgd_step(opt: Optimizer, model: ModelParams, grads, epoch: int) -> None:
+def sgd_step(opt: Optimizer, model: ModelParams, epoch: int) -> None:
     """One optimizer step: buf <- momentum*buf + grad + wd*param, then
     param <- param - lr(group, epoch)*buf, over the flat store in slices
     of at most ``_CHUNK`` elements; the feature span takes the feature
     rate and the rest the new-head rate.
 
-    ``grads`` is what :func:`backward` returned for ``model``: views of the
-    model's gradient store ``model.grad``, which is what the step reads.
-    Their count says how far the step goes: the encoder is skipped when
-    its pairs are absent (plain classification). The gradient is validated
-    before any parameter changes, so a numeric error leaves the model
-    untouched.
+    The step reads the model's gradient store ``model.grad`` over the span
+    that the last :func:`backward` filled, so the encoder is skipped after
+    a backward without it (plain classification). The gradient is
+    validated before any parameter changes, so a numeric error leaves the
+    model untouched.
     """
-    layers = model.all_layers()
-    n = len(model.feature)
-    if len(grads) not in (n + 1, len(layers)):
-        raise DimensionError("gradient count does not match model")
+    if model.grad is None:
+        raise UsageError("sgd_step needs a backward on this model first")
     _check_momentum(opt, model)
-    sizes = [l.weight.size + l.bias.size for l in layers]
-    p, buf, g = model.flat, opt.flat, model.grad[: sum(sizes[: len(grads)])]
+    p, buf, g = model.flat, opt.flat, model.grad[: model.grad_end]
     # checked a slice at a time, so no mask the size of the store is allocated
     if not all(np.isfinite(g[a : a + _CHUNK]).all() for a in range(0, g.size, _CHUNK)):
         raise NumericError("parameter gradient contains non-finite entries")
-    split = sum(sizes[:n])  # where the feature span ends
+    split = model.feature_end
     lr_feature, lr_new = opt.lr(GROUP_FEATURE, epoch), opt.lr(GROUP_NEW, epoch)
     scratch = np.empty(min(_CHUNK, g.size))
     for a in range(0, g.size, _CHUNK):
@@ -429,7 +428,7 @@ def save_checkpoint(path, state: CheckpointState) -> None:
         fh.write(struct.pack("<Id", len(opt.decay_epochs), opt.decay_factor))
         for d in opt.decay_epochs:
             fh.write(struct.pack("<I", d))
-        for pair in _views(opt.flat, [l.weight.shape for l in model.all_layers()]):
+        for pair in _views(opt.flat, model.shapes):
             for a in pair:
                 fh.write(pack_matrix(a))
         fh.write(struct.pack("<B", state.bank is not None))
@@ -445,7 +444,7 @@ def load_checkpoint(path) -> CheckpointState:
 
     The values go straight from the file into the flat store: a first pass
     over the layer sections reads their shapes and skips their values,
-    which then fill the views of a store of that size."""
+    which then fill the views of the model those shapes describe."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CKPT_MAGIC:
@@ -483,14 +482,13 @@ def load_checkpoint(path) -> CheckpointState:
         got = [(*shape, act) for shape, act in zip(shapes, acts)]
         if got != layer_specs(*dims):
             raise FormatError(f"checkpoint layers {got} do not chain into one model")
-        flat, pairs = _flat(shapes)
-        for at, view in zip(offsets, [a for pair in pairs for a in pair]):
+        model = ModelParams(dims)
+        for at, view in zip(offsets, [a for l in model.all_layers() for a in (l.weight, l.bias)]):
             rd.fill(view, at)
-        model = ModelParams(dims, flat)
         settings = dict(zip(_OPT_SCALARS, rd.unpack("<ddddd?")))
         n_decay, settings["decay_factor"] = rd.unpack("<Id")
         settings["decay_epochs"] = tuple(rd.unpack("<I")[0] for _ in range(n_decay))
-        momentum, bufs = _flat(shapes)
+        momentum, bufs = _flat(model.shapes)
         opt = Optimizer(**settings, flat=momentum)
         for i, (layer, pair) in enumerate(zip(model.all_layers(), bufs)):
             got = []

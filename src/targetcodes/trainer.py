@@ -317,12 +317,12 @@ def train(
                     bundle = losses_mod.compose_objective(config.mode, hp, logits, v, s, yb)
                     if not np.isfinite(bundle.total):
                         raise NumericError(f"non-finite loss {bundle.total}")
-                    grads = net_mod.backward(model, cache, bundle.grad_logits, bundle.grad_semantic)
+                    net_mod.backward(cache, bundle.grad_logits, bundle.grad_semantic)
                     if config.mode == LTC:
                         grad_w = codes_mod.ste_backward(bank, bundle.grad_codes, config.ste_rule)
                         if not np.isfinite(grad_w).all():
                             raise NumericError("code gradient contains non-finite entries")
-                    net_mod.sgd_step(optimizer, model, grads, epoch)
+                    net_mod.sgd_step(optimizer, model, epoch)
                     if config.mode == LTC:
                         codes_mod.update_codes(
                             bank, grad_w, optimizer.lr(net_mod.GROUP_CODES, epoch)

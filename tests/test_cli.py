@@ -1,8 +1,11 @@
 """CLI subcommands, exit codes, and the config-file contract."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -630,6 +633,27 @@ class TestGradcheckCommand:
         assert code == 2
         assert message in captured.err
         assert captured.out == ""
+
+
+class TestEntryPoint:
+    """``python -m targetcodes.cli`` hands main's return value to the process
+    as its exit code, as the installed ``targetcodes`` script does."""
+
+    @pytest.mark.parametrize("argv, code, stream, message", [
+        (("gradcheck", "--rounds", "1", "--perturb"), 1, "stdout", "failing checks: ce"),
+        (("eval", "--checkpoint", "nope.ltck", "--data", "nope.csv"), 2, "stderr", "error:"),
+    ], ids=["gradcheck_failure_1", "eval_missing_checkpoint_2"])
+    def test_exit_code_reaches_the_process(self, tmp_path, argv, code, stream, message):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "targetcodes.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code, done.stderr
+        assert message in getattr(done, stream)
 
 
 class TestEval:

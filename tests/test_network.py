@@ -60,7 +60,7 @@ def copied(grads):
 
 def momentum_views(model, opt):
     """The (weight, bias) momentum pairs of ``opt``, one per layer of ``model``."""
-    return _views(opt.flat, [l.weight.shape for l in model.all_layers()])
+    return _views(opt.flat, model.shapes)
 
 
 class TestForward:
@@ -108,7 +108,7 @@ class TestBackward:
     def test_zero_grads_give_zero_parameter_grads(self):
         model = toy_model(7)
         _, logits, v, cache = forward(model, Rng(8).normals(5, 8))
-        grads = backward(model, cache, np.zeros_like(logits), np.zeros_like(v))
+        grads = backward(cache, np.zeros_like(logits), np.zeros_like(v))
         assert len(grads) == len(model.all_layers())
         for gw, gb in grads:
             assert not gw.any() and not gb.any()
@@ -119,9 +119,9 @@ class TestBackward:
         _, logits, v, cache = forward(model, x)
         g_logits = Rng(11).normals(*logits.shape)
         # copied: the next backward overwrites the views a backward returns
-        with_zero_v = copied(backward(model, cache, g_logits, np.zeros_like(v)))
+        with_zero_v = copied(backward(cache, g_logits, np.zeros_like(v)))
         _, _, _, cache2 = forward(model, x, semantic=False)
-        without = backward(model, cache2, g_logits, None)
+        without = backward(cache2, g_logits, None)
         assert len(without) == len(model.feature) + 1
         for (gw_a, gb_a), (gw_b, gb_b) in zip(with_zero_v, without):
             np.testing.assert_array_equal(gw_a, gw_b)
@@ -133,25 +133,18 @@ class TestBackward:
         _, logits, v, cache = forward(model, x)
         g_logits = Rng(14).normals(*logits.shape)
         g_v = Rng(15).normals(*v.shape)
-        both = copied(backward(model, cache, g_logits, g_v))
-        ce_only = copied(backward(model, cache, g_logits, np.zeros_like(v)))
-        sem_only = backward(model, cache, np.zeros_like(logits), g_v)
+        both = copied(backward(cache, g_logits, g_v))
+        ce_only = copied(backward(cache, g_logits, np.zeros_like(v)))
+        sem_only = backward(cache, np.zeros_like(logits), g_v)
         trunk = slice(0, len(model.feature))
         for (gw, _), (gw_c, _), (gw_s, _) in zip(both[trunk], ce_only[trunk], sem_only[trunk]):
             np.testing.assert_allclose(gw, gw_c + gw_s, atol=1e-12)
-
-    def test_stale_cache_rejected(self):
-        model_a = toy_model(16)
-        model_b = toy_model(17)
-        _, logits, v, cache = forward(model_a, Rng(18).normals(2, 8))
-        with pytest.raises(UsageError):
-            backward(model_b, cache, np.zeros_like(logits), None)
 
     def test_semantic_grad_without_semantic_forward(self):
         model = toy_model(19)
         _, logits, _, cache = forward(model, Rng(20).normals(2, 8), semantic=False)
         with pytest.raises(UsageError):
-            backward(model, cache, np.zeros_like(logits), np.zeros((2, 8)))
+            backward(cache, np.zeros_like(logits), np.zeros((2, 8)))
 
     def test_full_gradcheck_through_composite_loss(self):
         # covered exhaustively by the gradcheck suite; spot-check one layer here
@@ -177,7 +170,7 @@ class TestBackward:
             return compose_objective(mode, hp, logits, v, s, y), cache
 
         bundle, cache = objective()
-        grads = backward(model, cache, bundle.grad_logits, bundle.grad_semantic)
+        grads = backward(cache, bundle.grad_logits, bundle.grad_semantic)
         for layer, (gw, _) in zip(model.all_layers(), grads):
             original = layer.weight.copy()
 
@@ -199,9 +192,9 @@ class TestOptimizer:
         w_before = model.feature[0].weight.copy()
         x = Rng(23).normals(4, 8)
         _, logits, v, cache = forward(model, x)
-        grads = backward(model, cache, np.ones_like(logits), np.zeros_like(v))
+        grads = backward(cache, np.ones_like(logits), np.zeros_like(v))
         gw = grads[0][0].copy()
-        sgd_step(opt, model, grads, epoch=0)
+        sgd_step(opt, model, epoch=0)
         np.testing.assert_allclose(model.feature[0].weight, w_before - 0.1 * gw, atol=1e-15)
 
     def test_two_momentum_steps_displacement(self):
@@ -212,9 +205,9 @@ class TestOptimizer:
                          lr_new=0.01)
         # the plain classification path exercises the classifier group only
         opt = init_optimizer(model, hp)
-        grads = backward(model, forward(model, [[1.0]], semantic=False)[3], [[2.0]])
-        sgd_step(opt, model, grads, 0)
-        sgd_step(opt, model, grads, 0)
+        backward(forward(model, [[1.0]], semantic=False)[3], [[2.0]])
+        sgd_step(opt, model, 0)
+        sgd_step(opt, model, 0)
         assert model.classifier.weight[0, 0] == pytest.approx(1.0 - 0.01 * 2.0 * 2.9, rel=1e-12)
 
     def test_decay_boundary_scales_lr_exactly_once(self):
@@ -241,8 +234,8 @@ class TestOptimizer:
         hp = Hyperparams(num_classes=1, code_length=1, momentum=0.0, weight_decay=0.1,
                          lr_new=0.5)
         opt = init_optimizer(model, hp)
-        grads = backward(model, forward(model, [[1.0]], semantic=False)[3], [[0.0]])
-        sgd_step(opt, model, grads, 0)
+        backward(forward(model, [[1.0]], semantic=False)[3], [[0.0]])
+        sgd_step(opt, model, 0)
         assert model.classifier.weight[0, 0] == pytest.approx(10.0 - 0.5 * 0.1 * 10.0)
 
     def test_nonfinite_gradient_leaves_model_untouched(self):
@@ -251,34 +244,39 @@ class TestOptimizer:
         opt = init_optimizer(model, hp)
         _, logits, v, cache = forward(model, Rng(27).normals(2, 8))
         # one good step first, so that the momentum is not all zero
-        sgd_step(opt, model, backward(model, cache, np.ones_like(logits), np.ones_like(v)), 0)
-        grads = backward(model, cache, np.zeros_like(logits), np.zeros_like(v))
+        backward(cache, np.ones_like(logits), np.ones_like(v))
+        sgd_step(opt, model, 0)
+        grads = backward(cache, np.zeros_like(logits), np.zeros_like(v))
         i = len(model.feature) + 2  # the second encoder layer
         grads[i][0][...] = np.nan
         before = [(l.weight.copy(), l.bias.copy()) for l in model.all_layers()]
         momentum = opt.flat.copy()
         with pytest.raises(NumericError):
-            sgd_step(opt, model, grads, 0)
+            sgd_step(opt, model, 0)
         for layer, (weight, bias) in zip(model.all_layers(), before):
             np.testing.assert_array_equal(layer.weight, weight)
             np.testing.assert_array_equal(layer.bias, bias)
         np.testing.assert_array_equal(opt.flat, momentum)
 
-    def test_gradient_count_unlike_the_model_rejected(self):
+    def test_a_step_before_any_backward_is_refused(self):
         model = toy_model(28)
         opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
-        _, logits, v, cache = forward(model, Rng(29).normals(2, 8))
-        grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
-        before = [l.weight.copy() for l in model.all_layers()]
-        with pytest.raises(DimensionError, match="gradient count"):
-            sgd_step(opt, model, grads[:-1], 0)
-        for layer, prev in zip(model.all_layers(), before):
-            np.testing.assert_array_equal(layer.weight, prev)
+        params = model.flat.copy()
+        with pytest.raises(UsageError, match="backward"):
+            sgd_step(opt, model, 0)
+        assert model.flat.tobytes() == params.tobytes()
+        assert not opt.flat.any()
 
 
 def assert_one_flat_store(model, opt):
     """Every layer's weight then bias, in ``all_layers()`` order, sits back
-    to back in ``model.flat``, and its momentum likewise in ``opt.flat``."""
+    to back in ``model.flat``, and its momentum likewise in ``opt.flat``;
+    the model's ``shapes`` and span ends describe that layout."""
+    layers = model.all_layers()
+    assert model.shapes == [l.weight.shape for l in layers]
+    sizes = [l.weight.size + l.bias.size for l in layers]
+    n = len(model.feature)
+    assert (model.feature_end, model.classifier_end) == (sum(sizes[:n]), sum(sizes[: n + 1]))
     params = [a for l in model.all_layers() for a in (l.weight, l.bias)]
     momentum = [a for pair in momentum_views(model, opt) for a in pair]
     for flat, views in ((model.flat, params), (opt.flat, momentum)):
@@ -307,14 +305,14 @@ class TestFlatStore:
         rng = Rng(81)
         for epoch in range(3):
             _, logits, v, cache = forward(model, rng.normals(16, 200))
-            grads = backward(model, cache, rng.normals(*logits.shape), rng.normals(*v.shape))
+            grads = backward(cache, rng.normals(*logits.shape), rng.normals(*v.shape))
             for i, (params, bufs, g) in enumerate(zip(want, want_bufs, grads)):
                 lr = opt.lr(GROUP_FEATURE if i < n else GROUP_NEW, epoch)
                 for p, buf, grad in zip(params, bufs, g):  # the per-layer formula
                     buf *= hp.momentum
                     buf += grad + hp.weight_decay * p
                     p -= lr * buf
-            sgd_step(opt, model, grads, epoch)
+            sgd_step(opt, model, epoch)
         for layer, (w, b), (bw, bb), (got_bw, got_bb) in zip(
             model.all_layers(), want, want_bufs, momentum_views(model, opt)
         ):
@@ -322,25 +320,29 @@ class TestFlatStore:
             assert layer.bias.tobytes() == b.tobytes()
             assert got_bw.tobytes() == bw.tobytes() and got_bb.tobytes() == bb.tobytes()
 
-    def test_baseline_gradient_leaves_the_encoder_alone(self):
+    @pytest.mark.parametrize("encoder_last", [False, True],
+                             ids=["full-first", "baseline-first"])
+    def test_baseline_gradient_leaves_the_encoder_alone(self, encoder_last):
+        # a step covers the span that the last backward filled, whatever came before
         model = toy_model(82)
         opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
         opt.flat[:] = Rng(83).normals(1, opt.flat.size)[0]  # non-zero momentum
         x = Rng(84).normals(4, 8)
-        _, logits, v, cache = forward(model, x)
-        backward(model, cache, np.ones_like(logits), np.ones_like(v))  # the encoder's too
-        params, momentum, grad = model.flat.copy(), opt.flat.copy(), model.grad.copy()
-        _, logits, _, cache = forward(model, x, semantic=False)
-        grads = backward(model, cache, np.ones_like(logits), None)
-        assert len(grads) == len(model.feature) + 1
-        sgd_step(opt, model, grads, 0)
-        # the feature and classifier prefix
-        end = sum(l.weight.size + l.bias.size for l in model.all_layers()[:len(grads)])
-        assert model.flat[end:].tobytes() == params[end:].tobytes()
-        assert opt.flat[end:].tobytes() == momentum[end:].tobytes()
-        assert model.grad[end:].tobytes() == grad[end:].tobytes() and grad[end:].any()
+        for semantic in (not encoder_last, encoder_last):
+            _, logits, v, cache = forward(model, x, semantic=semantic)
+            grad = None if model.grad is None else model.grad.copy()
+            grads = backward(cache, np.ones_like(logits), np.ones_like(v) if semantic else None)
+        params, momentum = model.flat.copy(), opt.flat.copy()
+        sgd_step(opt, model, 0)
+        n = len(model.feature) + 1  # the feature and classifier prefix
+        assert len(grads) == (len(model.all_layers()) if encoder_last else n)
+        end = sum(l.weight.size + l.bias.size for l in model.all_layers()[:n])
         assert not np.array_equal(model.flat[:end], params[:end])
         assert not np.array_equal(opt.flat[:end], momentum[:end])
+        assert (model.flat[end:].tobytes() == params[end:].tobytes()) != encoder_last
+        assert (opt.flat[end:].tobytes() == momentum[end:].tobytes()) != encoder_last
+        if not encoder_last:  # the baseline backward kept the encoder's span of the store
+            assert model.grad[end:].tobytes() == grad[end:].tobytes() and grad[end:].any()
 
     def test_every_backward_fills_one_store_per_model(self, tmp_path):
         model = toy_model(94)
@@ -354,11 +356,11 @@ class TestFlatStore:
         for m in (model, load_checkpoint(path).model):
             assert m.grad is None  # a model that only evaluates holds no store
             _, logits, v, cache = forward(m, rng.normals(3, 8))
-            first = backward(m, cache, rng.normals(*logits.shape), rng.normals(*v.shape))
+            first = backward(cache, rng.normals(*logits.shape), rng.normals(*v.shape))
             store = m.grad
             assert store.size == m.flat.size
-            second = backward(m, cache, rng.normals(*logits.shape), None)
-            third = backward(m, cache, rng.normals(*logits.shape), rng.normals(*v.shape))
+            second = backward(cache, rng.normals(*logits.shape), None)
+            third = backward(cache, rng.normals(*logits.shape), rng.normals(*v.shape))
             assert m.grad is store
             for later in (second, third):
                 for (gw, gb), (gw1, gb1) in zip(later, first):
@@ -369,11 +371,11 @@ class TestFlatStore:
         model = toy_model(86)
         opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
         _, logits, v, cache = forward(model, Rng(87).normals(2, 8))
-        grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
+        backward(cache, np.ones_like(logits), np.ones_like(v))
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.classifier.weight = model.classifier.weight.copy()
         assert model.classifier.weight.base is model.flat
-        sgd_step(opt, model, grads, 0)
+        sgd_step(opt, model, 0)
         assert opt.flat.any()
 
     def test_momentum_of_another_model_is_refused(self):
@@ -381,9 +383,9 @@ class TestFlatStore:
         opt = init_optimizer(toy_model(95, hidden=9), Hyperparams(num_classes=3, code_length=8))
         params = model.flat.copy()
         _, logits, v, cache = forward(model, Rng(96).normals(2, 8))
-        grads = backward(model, cache, np.ones_like(logits), np.ones_like(v))
+        backward(cache, np.ones_like(logits), np.ones_like(v))
         with pytest.raises(DimensionError, match="momentum size"):
-            sgd_step(opt, model, grads, 0)
+            sgd_step(opt, model, 0)
         assert model.flat.tobytes() == params.tobytes()
         assert not opt.flat.any()
 

@@ -346,9 +346,9 @@ class TestNonFiniteGradient:
         seen = {"steps": 0}
         snapshots = []
 
-        def backward(model, cache, grad_logits, grad_semantic=None):
-            grads = real_backward(model, cache, grad_logits, grad_semantic)
-            seen["model"] = model
+        def backward(cache, grad_logits, grad_semantic=None):
+            grads = real_backward(cache, grad_logits, grad_semantic)
+            seen["model"] = cache.model
             seen["steps"] += 1
             if seen["steps"] == bad_step:
                 grads[0][0][0, 0] = np.inf
