@@ -44,19 +44,31 @@ def _resolve_train_config(args) -> dict:
     return values
 
 
+def _bank_stats(bank: codes_mod.CodeBank):
+    """Per-row plus-one counts and pairwise Hamming distances of the bank's
+    sign pattern (w >= 0 is +1, the sign rule of ``codes.activate``), and
+    the normalized correlation of its activated codes, which for a
+    ``tanh_scaled`` bank are not +-1."""
+    signs = np.where(bank.weights >= 0.0, 1.0, -1.0)
+    return (
+        codes_mod.plus_one_counts(signs),
+        codes_mod.pairwise_hamming(signs),
+        codes_mod.normalized_correlation(codes_mod.activate(bank)),
+    )
+
+
 def _bank_summary(bank: codes_mod.CodeBank) -> list[str]:
-    s = codes_mod.activate(bank)
-    ones = codes_mod.plus_one_counts(s)
+    ones, ham, corr = _bank_stats(bank)
     lines = [
         f"kind {bank.kind} classes {bank.num_classes} length {bank.code_length}",
         f"plus-one count per row: min {int(ones.min())} max {int(ones.max())}",
     ]
     if bank.num_classes >= 2:
-        ham = codes_mod.pairwise_hamming(s)
         off = ham[~np.eye(bank.num_classes, dtype=bool)]
-        corr = codes_mod.mean_abs_off_diagonal(codes_mod.normalized_correlation(s))
         lines.append(f"pairwise Hamming distance: min {int(off.min())} max {int(off.max())}")
-        lines.append(f"mean abs normalized correlation: {corr:.6f}")
+        lines.append(
+            f"mean abs normalized correlation: {codes_mod.mean_abs_off_diagonal(corr):.6f}"
+        )
     return lines
 
 
@@ -78,10 +90,7 @@ def cmd_gen_codes(args) -> int:
 
 def cmd_inspect_codes(args) -> int:
     bank = codes_mod.load_bank(args.bank)
-    s = codes_mod.activate(bank)
-    ones = codes_mod.plus_one_counts(s)
-    ham = codes_mod.pairwise_hamming(s)
-    corr = codes_mod.normalized_correlation(s)
+    ones, ham, corr = _bank_stats(bank)
     print("row,plus_ones,min_hamming,max_hamming,mean_abs_corr")
     k = bank.num_classes
     for i in range(k):

@@ -378,20 +378,27 @@ def train(
     return result
 
 
+def _rank_of(scores: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Per row, the 0-based position of column ``col[i]`` in a ranking of
+    the columns by descending score, ties broken by lower column index,
+    with no sort: the columns scored above it, plus those tied with it at a
+    lower index. Scores must not be NaN.
+    """
+    own = scores[np.arange(len(col)), col][:, None]
+    ahead = scores > own
+    tied = scores == own
+    tied &= np.arange(scores.shape[1]) < col[:, None]
+    ahead |= tied
+    return np.count_nonzero(ahead, axis=1)
+
+
 def _first_hit_rank(scores: np.ndarray, hits: np.ndarray) -> np.ndarray:
-    """Per row, the 0-based position of the first hit in a ranking of the
-    columns by descending score, ties broken by lower column index, with no
-    sort: the candidates scored above the row's best hit, plus those tied
-    with it at a lower column. Rows without a hit get no meaningful rank,
-    so callers leave them out. Scores must not be NaN.
+    """Per row, the :func:`_rank_of` its first hit: the lowest column
+    among the hits that share the row's best hit score. Rows without a hit
+    get no meaningful rank, so callers leave them out.
     """
     best = np.max(scores, axis=1, where=hits, initial=-np.inf, keepdims=True)
-    at_best = scores == best
-    first = np.argmax(hits & at_best, axis=1)
-    rank = np.count_nonzero(scores > best, axis=1) + np.count_nonzero(
-        at_best & (np.arange(scores.shape[1]) < first[:, None]), axis=1
-    )
-    return rank
+    return _rank_of(scores, np.argmax(hits & (scores == best), axis=1))
 
 
 def _block_rows(width: int) -> int:
@@ -413,12 +420,14 @@ def score(
 ) -> tuple[float, float, Optional[RetrievalReport]]:
     """Top-1 and top-k accuracy as :func:`evaluate` scores them and, for a
     non-empty ``ks``, Recall@K as :func:`retrieval_eval` scores it, from one
-    pass of :func:`_blocks`. Only the rows' class ranks outlive a block, and
-    the N trunk embeddings when ``ks`` is given. Forward errors come first,
-    then a label of at least K, then a NaN logit, then Recall@K's refusals.
+    pass of :func:`_blocks`. Only the top-1 and top-k counts outlive a
+    block, and the N trunk embeddings when ``ks`` is given. Forward errors
+    come first, then a label of at least K, then a NaN logit, then
+    Recall@K's refusals.
     """
     n, (d, k) = len(ds.y), model.classifier.weight.shape
-    rank = np.empty(n, dtype=np.intp)
+    top_label = int(ds.y.max(initial=-1))
+    hits1 = hits5 = 0
     z = np.empty((n, d)) if ks else None
     nan = False
     for r0, z_block, logits in _blocks(model, ds.X):
@@ -426,14 +435,15 @@ def score(
         if z is not None:
             z[r0:r1] = z_block
         nan = nan or np.isnan(logits).any()
-        if not nan:
-            rank[r0:r1] = _first_hit_rank(logits, ds.y[r0:r1, None] == np.arange(k))
-    if ds.y.max() >= k:
-        raise DomainError(f"labels reach {int(ds.y.max())}, but the model has {k} classes")
+        if not nan and top_label < k:
+            rank = _rank_of(logits, ds.y[r0:r1])
+            hits1 += np.count_nonzero(rank == 0)
+            hits5 += np.count_nonzero(rank < min(5, k))
+    if top_label >= k:
+        raise DomainError(f"labels reach {top_label}, but the model has {k} classes")
     if nan:
         raise NumericError("NaN logit in evaluation")
-    top1, top5 = float((rank == 0).mean()), float((rank < min(5, k)).mean())
-    return top1, top5, _recall_at(z, ds.y, ks) if ks else None
+    return hits1 / n, hits5 / n, _recall_at(z, ds.y, ks) if ks else None
 
 
 def evaluate(model: net_mod.ModelParams, ds: data_mod.Dataset) -> tuple[float, float]:

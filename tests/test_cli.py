@@ -106,6 +106,31 @@ class TestGenCodes:
             assert cells[1] == "4" and cells[2] == "4" and cells[3] == "4"
 
 
+    def test_tanh_bank_bits_counted_on_its_sign_pattern(self, tmp_path, capsys):
+        # tanh codes are not +-1, so bits are counted on the sign pattern
+        # w >= 0 -> +1; counted directly here, bit by bit
+        out = tmp_path / "b.ltcb"
+        assert run_cli("gen-codes", "--mode", "learnable", "--classes", "4", "--length", "8",
+                       "--activation", "tanh_scaled", "--out", str(out)) == 0
+        summary = capsys.readouterr().out
+        bits = (load_bank(out).weights >= 0).tolist()
+        ones = [sum(row) for row in bits]
+        ham = [[sum(a != b for a, b in zip(r, s)) for s in bits] for r in bits]
+        off = [ham[i][j] for i in range(4) for j in range(4) if i != j]
+        assert min(off) < max(off)  # the distances tell the counts apart
+        assert f"plus-one count per row: min {min(ones)} max {max(ones)}" in summary
+        assert f"pairwise Hamming distance: min {min(off)} max {max(off)}" in summary
+
+        assert run_cli("inspect-codes", "--bank", str(out)) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[:4] for row in rows] == [
+            [str(i), str(ones[i]),
+             str(min(ham[i][j] for j in range(4) if j != i)),
+             str(max(ham[i][j] for j in range(4) if j != i))]
+            for i in range(4)
+        ]
+
+
 class TestMakeData:
     def test_longtail_counts_and_ratio(self, tmp_path, capsys):
         out = tmp_path / "lt.csv"

@@ -671,6 +671,42 @@ class TestEvaluateRanking:
             tm.evaluate(classifier_model(weight), dm.Dataset(x, np.array([0, 1, 2])))
 
 
+def tie_heavy_scores(rows, cols, seed):
+    """Small integers, so most rows hold exact ties, and about one entry in
+    eighteen at +-inf."""
+    g = Rng(seed).normals(rows, cols)
+    scores = np.round(g)
+    scores[g > 1.9] = np.inf
+    scores[g < -1.9] = -np.inf
+    return scores
+
+
+class TestRankKernels:
+    """The counting kernels against a dense stable argsort of each row."""
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 100])
+    def test_rank_of_every_column(self, k):
+        scores = tie_heavy_scores(300, k, 75 + k)
+        order = np.argsort(-scores, axis=1, kind="stable")
+        position = np.argsort(order, axis=1)  # position[i, c]: where column c ranks
+        for col in range(k):
+            got = tm._rank_of(scores, np.full(len(scores), col))
+            assert np.array_equal(got, position[:, col])
+        if k > 1:
+            assert (np.isinf(scores).any(axis=1) & (scores == 0).any(axis=1)).any()
+
+    @pytest.mark.parametrize("k", [2, 8, 100])
+    def test_first_hit_rank_is_the_first_hit_in_order(self, k):
+        scores = tie_heavy_scores(300, k, 79 + k)
+        hits = Rng(83 + k).normals(300, k) > 0
+        several = hits.sum(axis=1) >= 2
+        assert several.sum() > 50
+        order = np.argsort(-scores, axis=1, kind="stable")
+        first = np.argmax(np.take_along_axis(hits, order, axis=1), axis=1)
+        scored = hits.any(axis=1)  # a row without a hit has no rank
+        assert np.array_equal(tm._first_hit_rank(scores, hits)[scored], first[scored])
+
+
 # the 3000 x 128 embeddings and 3000 x 100 logits take 5.4 MB; the rows are
 # forwarded in 1 MiB blocks and the similarities scored in 1 MiB blocks, where
 # one unblocked forward held 11.5 MB of layer outputs at once
@@ -684,8 +720,16 @@ def test_memory_at_paper_dims(fn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # evaluate keeps per-row ranks, not the N-row logits or embeddings
+    # evaluate keeps per-block counts, not the N-row logits or embeddings
     assert peak < (4 if fn == "evaluate" else 10) * 2**20
+
+
+def scorer(name):
+    """``trainer.<name>``, or ``score`` with the default recall depths for
+    ``score_recall``."""
+    if name == "score_recall":
+        return lambda model, ds: tm.score(model, ds, tm.RECALL_DEPTHS)
+    return getattr(tm, name)
 
 
 class TestBlockedScoring:
@@ -740,12 +784,12 @@ class TestBlockedScoring:
         tm.retrieval_eval(classifier_model(np.eye(3)), ds, ks=(1,))
         assert np.array_equal(ds.X, x)
 
-    @pytest.mark.parametrize("fn", ["score", "evaluate", "retrieval_eval"])
+    @pytest.mark.parametrize("fn", ["score", "score_recall", "evaluate", "retrieval_eval"])
     def test_no_rows_is_the_dimension_error_of_an_empty_matrix(self, fn):
         model, _ = self.model_and_data()
         ds = dm.Dataset(np.zeros((0, 16)), np.zeros(0, dtype=np.intp))
         with pytest.raises(DimensionError, match=r"non-empty, got shape \(0, 16\)"):
-            getattr(tm, fn)(model, ds)
+            scorer(fn)(model, ds)
 
     @pytest.mark.parametrize("fn", ["score", "evaluate", "retrieval_eval"])
     def test_wrong_width_is_a_dimension_error(self, fn):
@@ -761,6 +805,33 @@ class TestBlockedScoring:
         monkeypatch.setattr(tm, "_BLOCK_BYTES", 8 * 24 * 64)
         with pytest.raises(NumericError):
             getattr(tm, fn)(model, ds)
+
+
+class TestRefusalOrder:
+    """With several faults at once, the forward's refusals come first, then a
+    label of at least K, then a NaN logit, then Recall@K's refusals."""
+
+    def model(self):
+        return nm.init_model(16, (24, 12), 7, 8, 8, Rng(70))
+
+    @pytest.mark.parametrize("fn", ["score", "score_recall", "evaluate"])
+    def test_wrong_width_before_a_label_beyond_the_classifier(self, fn):
+        ds = dm.Dataset(np.zeros((20, 15)), np.arange(20) % 9)
+        with pytest.raises(DimensionError, match="input dim 15 does not match first layer 16"):
+            scorer(fn)(self.model(), ds)
+
+    @pytest.mark.parametrize("fn", ["score", "score_recall", "evaluate"])
+    def test_label_beyond_the_classifier_before_a_nan_logit(self, fn):
+        model = self.model()
+        model.classifier.bias[0, 2] = np.nan
+        ds = dm.Dataset(Rng(71).normals(20, 16), np.arange(20) % 9)
+        with pytest.raises(DomainError, match="labels reach 8, but the model has 7 classes"):
+            scorer(fn)(model, ds)
+
+    def test_label_beyond_the_classifier_before_too_few_rows_for_recall(self):
+        ds = dm.Dataset(Rng(71).normals(5, 16), np.array([0, 1, 8, 1, 0]))
+        with pytest.raises(DomainError, match="labels reach 8"):
+            scorer("score_recall")(self.model(), ds)
 
 
 def identity_model(dim):
