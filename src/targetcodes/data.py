@@ -19,7 +19,8 @@ class Dataset:
     ``class_counts`` is ``np.bincount(y)``, so class k has
     ``class_counts[k]`` rows and the class count is ``max(y) + 1``. A
     feature that is NaN or infinite raises DomainError naming its row and
-    column.
+    column, and so do labels that are not a 1-D array of non-negative
+    integers.
     """
 
     X: Matrix
@@ -35,14 +36,17 @@ class Dataset:
         return len(self.class_counts)
 
     def __post_init__(self):
-        if self.X.shape[0] != self.y.shape[0]:
-            raise DimensionError(
-                f"{self.X.shape[0]} feature rows for {self.y.shape[0]} labels"
-            )
+        y = self.y
+        if y.ndim != 1 or y.dtype.kind not in "iu" or not np.can_cast(y.dtype, np.intp):
+            raise DomainError(f"labels must be 1-D integers, got {y.dtype} of shape {y.shape}")
+        if (y < 0).any():
+            raise DomainError(f"negative label {int(y.min())}")
+        if self.X.shape[0] != y.shape[0]:
+            raise DimensionError(f"{self.X.shape[0]} feature rows for {y.shape[0]} labels")
         if not np.isfinite(self.X).all():
             row, col = np.argwhere(~np.isfinite(self.X))[0]
             raise DomainError(f"non-finite feature at row {row}, column {col}")
-        self.class_counts = np.bincount(self.y)
+        self.class_counts = np.bincount(y)
 
 
 def make_blobs(

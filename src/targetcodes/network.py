@@ -8,16 +8,16 @@ in (-1, 1)^L. Inference uses only the extractor and the classifier.
 :func:`layer_specs` states this architecture once, and every model is
 built from it.
 
-Parameters, momentum and gradients each live in one flat float64 buffer,
-every layer's weight then bias in ``all_layers()`` order, and the
-per-layer matrices are views of it. So an optimizer step is a few ufuncs
-over whole slices of those buffers, not a few per layer.
+Parameters, momentum and gradients each live in one flat float64 buffer
+owned by the model, every layer's weight then bias in ``all_layers()``
+order, and the per-layer matrices are views of it. So an optimizer step is
+a few ufuncs over whole slices of those buffers, not a few per layer.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -92,6 +92,9 @@ class ModelParams:
     ``classifier_end``. :func:`init_model` and :func:`load_checkpoint`
     build every model so.
 
+    ``momentum`` is its momentum store, laid out like ``flat``, zeroed here
+    and rebound zeroed by :func:`init_optimizer`.
+
     ``grad`` is its one gradient store, laid out like ``flat``, and
     ``grads`` the per-layer (grad_weight, grad_bias) views of it. The first
     :func:`backward` allocates them, so a model that only evaluates holds
@@ -104,6 +107,7 @@ class ModelParams:
         specs = layer_specs(*dims)
         self.shapes = [(fan_in, fan_out) for fan_in, fan_out, _ in specs]
         self.flat, pairs = _flat(self.shapes)
+        self.momentum = np.zeros(self.flat.size)
         layers = [DenseLayer(w, b, act) for (w, b), (_, _, act) in zip(pairs, specs)]
         n = len(dims[1])
         self.feature, self.classifier = tuple(layers[:n]), layers[n]
@@ -289,10 +293,10 @@ class Optimizer:
     """Momentum SGD with weight decay, per-group learning rates, and a
     step-decay schedule shared by every group.
 
-    ``decay_codes=False`` exempts the code learning rate from the schedule.
-    ``flat`` is the momentum buffer, laid out like the model's ``flat``.
-    Momentum exists for model parameters only; learnable codes take plain
-    gradient steps at ``lr(GROUP_CODES, epoch)``.
+    It holds only settings: the momentum buffer is the model's
+    ``momentum``. ``decay_codes=False`` exempts the code learning rate from
+    the schedule. Momentum exists for model parameters only; learnable codes
+    take plain gradient steps at ``lr(GROUP_CODES, epoch)``.
     """
 
     momentum: float
@@ -302,7 +306,6 @@ class Optimizer:
     lr_codes: float
     decay_epochs: tuple[int, ...]
     decay_factor: float
-    flat: np.ndarray = field(repr=False)
     decay_codes: bool
 
     def lr(self, group: str, epoch: int) -> float:
@@ -324,26 +327,19 @@ _HP_SETTINGS = (*_OPT_SCALARS[:-1], "decay_epochs", "decay_factor")
 
 
 def init_optimizer(model: ModelParams, hp, decay_codes: bool = True) -> Optimizer:
-    """Fresh optimizer whose momentum is zeros the size of ``model.flat``."""
-    return Optimizer(
-        **{k: getattr(hp, k) for k in _HP_SETTINGS},
-        flat=np.zeros(model.flat.size),
-        decay_codes=decay_codes,
-    )
-
-
-def _check_momentum(opt: Optimizer, model: ModelParams) -> None:
-    if opt.flat.size != model.flat.size:
-        raise DimensionError(
-            f"momentum size {opt.flat.size} does not match model size {model.flat.size}"
-        )
+    """Fresh optimizer with ``hp``'s settings. Momentum restarts from zero:
+    ``model`` gets a new zeroed ``momentum`` store, and the old one is left
+    as it was."""
+    model.momentum = np.zeros(model.flat.size)
+    return Optimizer(**{k: getattr(hp, k) for k in _HP_SETTINGS}, decay_codes=decay_codes)
 
 
 def sgd_step(opt: Optimizer, model: ModelParams, epoch: int) -> None:
     """One optimizer step: buf <- momentum*buf + grad + wd*param, then
-    param <- param - lr(group, epoch)*buf, over the flat store in slices
-    of at most ``_CHUNK`` elements; the feature span takes the feature
-    rate and the rest the new-head rate.
+    param <- param - lr(group, epoch)*buf with ``buf`` the model's
+    ``momentum``, over the flat stores in slices of at most ``_CHUNK``
+    elements; the feature span takes the feature rate and the rest the
+    new-head rate.
 
     The step reads the model's gradient store ``model.grad`` over the span
     that the last :func:`backward` filled, so the encoder is skipped after
@@ -353,8 +349,7 @@ def sgd_step(opt: Optimizer, model: ModelParams, epoch: int) -> None:
     """
     if model.grad is None:
         raise UsageError("sgd_step needs a backward on this model first")
-    _check_momentum(opt, model)
-    p, buf, g = model.flat, opt.flat, model.grad[: model.grad_end]
+    p, buf, g = model.flat, model.momentum, model.grad[: model.grad_end]
     # checked a slice at a time, so no mask the size of the store is allocated
     if not all(np.isfinite(g[a : a + _CHUNK]).all() for a in range(0, g.size, _CHUNK)):
         raise NumericError("parameter gradient contains non-finite entries")
@@ -402,11 +397,9 @@ def save_checkpoint(path, state: CheckpointState) -> None:
     + weight + bias matrices; the classifier layer; u32 encoder layer count
     and its layers; the momentum buffers in the same order; u8 bank flag
     and, when set, the :func:`codes.pack_bank` section. Matrices serialize
-    as :func:`core.pack_matrix`. Momentum sized unlike the model raises
-    DimensionError and writes nothing.
+    as :func:`core.pack_matrix`.
     """
     model, opt = state.model, state.optimizer
-    _check_momentum(opt, model)
     with atomic_open(path, "wb") as fh:
         # each section is written as soon as it is packed: no copy of the file
         fh.write(_CKPT_MAGIC)
@@ -428,7 +421,7 @@ def save_checkpoint(path, state: CheckpointState) -> None:
         fh.write(struct.pack("<Id", len(opt.decay_epochs), opt.decay_factor))
         for d in opt.decay_epochs:
             fh.write(struct.pack("<I", d))
-        for pair in _views(opt.flat, model.shapes):
+        for pair in _views(model.momentum, model.shapes):
             for a in pair:
                 fh.write(pack_matrix(a))
         fh.write(struct.pack("<B", state.bank is not None))
@@ -488,8 +481,7 @@ def load_checkpoint(path) -> CheckpointState:
         settings = dict(zip(_OPT_SCALARS, rd.unpack("<ddddd?")))
         n_decay, settings["decay_factor"] = rd.unpack("<Id")
         settings["decay_epochs"] = tuple(rd.unpack("<I")[0] for _ in range(n_decay))
-        momentum, bufs = _flat(model.shapes)
-        opt = Optimizer(**settings, flat=momentum)
+        bufs = _views(model.momentum, model.shapes)
         for i, (layer, pair) in enumerate(zip(model.all_layers(), bufs)):
             got = []
             for view in pair:
@@ -522,6 +514,6 @@ def load_checkpoint(path) -> CheckpointState:
         rng_state=rng_state,
         epoch=epoch,
         model=model,
-        optimizer=opt,
+        optimizer=Optimizer(**settings),
         bank=bank,
     )

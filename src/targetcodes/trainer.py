@@ -48,8 +48,6 @@ STREAM_BATCHES = 3
 _BLOCK_BYTES = 1 << 20
 RECALL_DEPTHS = (1, 2, 4, 8)
 
-METRIC_KEYS = ("epoch", "ce", "mse", "triplet", "corr", "total", "top1", "top5", "code_corr")
-
 # the temporary file core.atomic_open leaves beside a run file when a run is
 # killed mid-write
 _STALE_RUN_TMP = re.compile(
@@ -78,8 +76,8 @@ class EpochMetrics:
     code_corr: float
 
     def json_line(self) -> str:
-        """Deterministic JSON for one metrics.jsonl line."""
-        return json.dumps({k: getattr(self, k) for k in METRIC_KEYS})
+        """Deterministic JSON for one metrics.jsonl line, keys in field order."""
+        return json.dumps(vars(self))
 
 
 @dataclass(frozen=True)
@@ -112,6 +110,8 @@ def validate_config(
         raise ConfigError(
             f"batch size {hp.batch_size} exceeds the {train_ds.num_samples} training rows"
         )
+    if test_ds.num_samples == 0:
+        raise ConfigError("the test set has no rows")
     if test_ds.y.max() >= hp.num_classes:
         raise ConfigError(
             f"test labels reach {int(test_ds.y.max())}, config has {hp.num_classes} classes"
@@ -150,8 +150,7 @@ def _recorded_settings(state: net_mod.CheckpointState, resume_from: str) -> dict
         except (TypeError, ValueError) as exc:  # a missing key, undecodable bytes
             raise FormatError(f"{cfg_path}: not a readable run config: {exc}") from None
     opt, bank = state.optimizer, state.bank
-    # every Optimizer field but the momentum buffer is a config key
-    recorded.update((f.name, getattr(opt, f.name)) for f in fields(opt) if f.name != "flat")
+    recorded.update((f.name, getattr(opt, f.name)) for f in fields(opt))
     recorded.update(mode=state.mode, seed=state.seed)
     (_, recorded["feature_widths"], recorded["num_classes"], recorded["encoder_hidden"],
      recorded["code_length"]) = state.model.dims

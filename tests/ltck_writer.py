@@ -23,7 +23,7 @@ def layer_sections(model):
 
 def momentum_matrices(state):
     """The momentum of ``state``: each layer's weight then bias matrix."""
-    return [a for pair in _views(state.optimizer.flat, state.model.shapes) for a in pair]
+    return [a for pair in _views(state.model.momentum, state.model.shapes) for a in pair]
 
 
 def write_ltck(path, sections, momentum, state=None):

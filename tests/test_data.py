@@ -1,6 +1,7 @@
 """Blob generation, long-tail subsampling, CSV round-trips, and
 deterministic batching."""
 
+import re
 import warnings
 
 import numpy as np
@@ -173,6 +174,16 @@ class TestCsv:
         with pytest.raises(DomainError, match="non-finite feature at row 2, column 1"):
             Dataset(X=X, y=np.array([0, 1, 0]))
 
+    @pytest.mark.parametrize("y, message", [
+        (np.array([0, -1, 1]), "negative label -1"),
+        (np.array([0.0, 1.0, 1.0]), "labels must be 1-D integers, got float64 of shape (3,)"),
+        (np.zeros((3, 1), np.int64), "labels must be 1-D integers, got int64 of shape (3, 1)"),
+        (np.array([0, 1, 1], np.uint64), "labels must be 1-D integers, got uint64"),
+    ])
+    def test_malformed_labels_refused_at_construction(self, y, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            Dataset(X=np.zeros((3, 2)), y=y)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_feature_rejected(self, tmp_path, value):
         path = tmp_path / "nonfinite.csv"
@@ -230,9 +241,11 @@ class TestCsv:
             load_csv(path)
 
     def test_negative_label_rejected(self, tmp_path):
+        # named by load_csv itself: Dataset refuses it too, but its DomainError
+        # would reach the fallback that reports a non-finite value
         path = tmp_path / "neg.csv"
         path.write_text("label,f0\n0,1\n-1,2\n")
-        with pytest.raises(FormatError, match=r"neg\.csv: negative label -1"):
+        with pytest.raises(FormatError, match=r"neg\.csv: negative label -1$"):
             load_csv(path)
 
     def test_unlocated_error_keeps_numpy_message(self, tmp_path):

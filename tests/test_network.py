@@ -58,9 +58,9 @@ def copied(grads):
     return [(gw.copy(), gb.copy()) for gw, gb in grads]
 
 
-def momentum_views(model, opt):
-    """The (weight, bias) momentum pairs of ``opt``, one per layer of ``model``."""
-    return _views(opt.flat, model.shapes)
+def momentum_views(model):
+    """The (weight, bias) momentum pairs of ``model``, one per layer."""
+    return _views(model.momentum, model.shapes)
 
 
 class TestForward:
@@ -250,13 +250,13 @@ class TestOptimizer:
         i = len(model.feature) + 2  # the second encoder layer
         grads[i][0][...] = np.nan
         before = [(l.weight.copy(), l.bias.copy()) for l in model.all_layers()]
-        momentum = opt.flat.copy()
+        momentum = model.momentum.copy()
         with pytest.raises(NumericError):
             sgd_step(opt, model, 0)
         for layer, (weight, bias) in zip(model.all_layers(), before):
             np.testing.assert_array_equal(layer.weight, weight)
             np.testing.assert_array_equal(layer.bias, bias)
-        np.testing.assert_array_equal(opt.flat, momentum)
+        np.testing.assert_array_equal(model.momentum, momentum)
 
     def test_a_step_before_any_backward_is_refused(self):
         model = toy_model(28)
@@ -265,21 +265,47 @@ class TestOptimizer:
         with pytest.raises(UsageError, match="backward"):
             sgd_step(opt, model, 0)
         assert model.flat.tobytes() == params.tobytes()
-        assert not opt.flat.any()
+        assert not model.momentum.any()
+
+    def test_init_optimizer_restarts_momentum_in_a_new_store(self):
+        hp = Hyperparams(num_classes=3, code_length=8)
+        model = toy_model(29)
+        opt = init_optimizer(model, hp)
+        rng = Rng(30)
+        x, g_logits, g_v = rng.normals(4, 8), rng.normals(4, 3), rng.normals(4, 8)
+        for _ in range(2):  # a trained model, with non-zero momentum
+            backward(forward(model, x)[3], g_logits, g_v)
+            sgd_step(opt, model, 0)
+        old = model.momentum
+        old_bytes = old.tobytes()
+        assert old.any()
+        twin = toy_model(29)
+        twin.flat[:] = model.flat
+        opt = init_optimizer(model, hp)
+        assert model.momentum is not old and old.tobytes() == old_bytes
+        assert model.momentum.size == model.flat.size and not model.momentum.any()
+        # the next step is a first step: that of a fresh model holding the same parameters
+        for m in (model, twin):
+            backward(forward(m, x)[3], g_logits, g_v)
+            sgd_step(opt, m, 1)
+        assert model.flat.tobytes() == twin.flat.tobytes()
+        assert model.momentum.tobytes() == twin.momentum.tobytes()
 
 
-def assert_one_flat_store(model, opt):
+def assert_one_flat_store(model):
     """Every layer's weight then bias, in ``all_layers()`` order, sits back
-    to back in ``model.flat``, and its momentum likewise in ``opt.flat``;
-    the model's ``shapes`` and span ends describe that layout."""
+    to back in ``model.flat``, and its momentum likewise in
+    ``model.momentum``, a buffer of its own; the model's ``shapes`` and span
+    ends describe that layout."""
+    assert not np.shares_memory(model.flat, model.momentum)
     layers = model.all_layers()
     assert model.shapes == [l.weight.shape for l in layers]
     sizes = [l.weight.size + l.bias.size for l in layers]
     n = len(model.feature)
     assert (model.feature_end, model.classifier_end) == (sum(sizes[:n]), sum(sizes[: n + 1]))
     params = [a for l in model.all_layers() for a in (l.weight, l.bias)]
-    momentum = [a for pair in momentum_views(model, opt) for a in pair]
-    for flat, views in ((model.flat, params), (opt.flat, momentum)):
+    momentum = [a for pair in momentum_views(model) for a in pair]
+    for flat, views in ((model.flat, params), (model.momentum, momentum)):
         start = flat.__array_interface__["data"][0]
         at = 0
         for view in views:
@@ -314,7 +340,7 @@ class TestFlatStore:
                     p -= lr * buf
             sgd_step(opt, model, epoch)
         for layer, (w, b), (bw, bb), (got_bw, got_bb) in zip(
-            model.all_layers(), want, want_bufs, momentum_views(model, opt)
+            model.all_layers(), want, want_bufs, momentum_views(model)
         ):
             assert layer.weight.tobytes() == w.tobytes()
             assert layer.bias.tobytes() == b.tobytes()
@@ -326,21 +352,21 @@ class TestFlatStore:
         # a step covers the span that the last backward filled, whatever came before
         model = toy_model(82)
         opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
-        opt.flat[:] = Rng(83).normals(1, opt.flat.size)[0]  # non-zero momentum
+        model.momentum[:] = Rng(83).normals(1, model.momentum.size)[0]  # non-zero momentum
         x = Rng(84).normals(4, 8)
         for semantic in (not encoder_last, encoder_last):
             _, logits, v, cache = forward(model, x, semantic=semantic)
             grad = None if model.grad is None else model.grad.copy()
             grads = backward(cache, np.ones_like(logits), np.ones_like(v) if semantic else None)
-        params, momentum = model.flat.copy(), opt.flat.copy()
+        params, momentum = model.flat.copy(), model.momentum.copy()
         sgd_step(opt, model, 0)
         n = len(model.feature) + 1  # the feature and classifier prefix
         assert len(grads) == (len(model.all_layers()) if encoder_last else n)
         end = sum(l.weight.size + l.bias.size for l in model.all_layers()[:n])
         assert not np.array_equal(model.flat[:end], params[:end])
-        assert not np.array_equal(opt.flat[:end], momentum[:end])
+        assert not np.array_equal(model.momentum[:end], momentum[:end])
         assert (model.flat[end:].tobytes() == params[end:].tobytes()) != encoder_last
-        assert (opt.flat[end:].tobytes() == momentum[end:].tobytes()) != encoder_last
+        assert (model.momentum[end:].tobytes() == momentum[end:].tobytes()) != encoder_last
         if not encoder_last:  # the baseline backward kept the encoder's span of the store
             assert model.grad[end:].tobytes() == grad[end:].tobytes() and grad[end:].any()
 
@@ -376,23 +402,12 @@ class TestFlatStore:
             model.classifier.weight = model.classifier.weight.copy()
         assert model.classifier.weight.base is model.flat
         sgd_step(opt, model, 0)
-        assert opt.flat.any()
-
-    def test_momentum_of_another_model_is_refused(self):
-        model = toy_model(95)
-        opt = init_optimizer(toy_model(95, hidden=9), Hyperparams(num_classes=3, code_length=8))
-        params = model.flat.copy()
-        _, logits, v, cache = forward(model, Rng(96).normals(2, 8))
-        backward(cache, np.ones_like(logits), np.ones_like(v))
-        with pytest.raises(DimensionError, match="momentum size"):
-            sgd_step(opt, model, 0)
-        assert model.flat.tobytes() == params.tobytes()
-        assert not opt.flat.any()
+        assert model.momentum.any()
 
     def test_loaded_and_resumed_models_are_one_flat_store(self, tmp_path):
         model = toy_model(88)
         opt = init_optimizer(model, Hyperparams(num_classes=3, code_length=8))
-        assert_one_flat_store(model, opt)
+        assert_one_flat_store(model)
         state = CheckpointState(
             mode="ltc", seed=1, rng_state=2, epoch=1, model=model, optimizer=opt,
             bank=init_learnable_codes(3, 8, Rng(89)),
@@ -400,7 +415,7 @@ class TestFlatStore:
         path = tmp_path / "state.ltck"
         save_checkpoint(path, state)
         loaded = load_checkpoint(path)
-        assert_one_flat_store(loaded.model, loaded.optimizer)
+        assert_one_flat_store(loaded.model)
         assert loaded.model.flat.tobytes() == model.flat.tobytes()
 
         train = make_blobs(3, 8, 1, 20, 1.0, 3.0, Rng(90))
@@ -410,10 +425,10 @@ class TestFlatStore:
             out_dir=str(tmp_path / "run"),
         )
         first = train_model(config, train, train)
-        assert_one_flat_store(first.model, first.optimizer)
+        assert_one_flat_store(first.model)
         resumed = train_model(config, train, train,
                               resume_from=str(tmp_path / "run" / "ckpt_epoch1.ltck"))
-        assert_one_flat_store(resumed.model, resumed.optimizer)
+        assert_one_flat_store(resumed.model)
         assert resumed.model.flat.tobytes() == first.model.flat.tobytes()
 
 
@@ -428,6 +443,10 @@ class TestInitModel:
         model = toy_model(31)
         for layer in model.all_layers():
             assert not layer.bias.any()
+
+    def test_momentum_starts_at_zero(self):
+        model = toy_model(32)
+        assert model.momentum.shape == model.flat.shape and not model.momentum.any()
 
     def test_hidden_preactivation_variance_order_one(self):
         # fan-in scaled init targets Var(pre) = 2 on standard-normal input;
@@ -458,7 +477,7 @@ class TestCheckpoint:
         opt = init_optimizer(model, hp)
         # dirty the buffers so serialization covers non-zero state
         rng = Rng(seed + 1)
-        for bw, bb in momentum_views(model, opt):
+        for bw, bb in momentum_views(model):
             bw[:] = rng.normals(*bw.shape)
             bb[:] = rng.normals(*bb.shape)
         bank = init_learnable_codes(classes, length, Rng(seed + 2))
@@ -480,8 +499,7 @@ class TestCheckpoint:
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
             assert la.activation == lb.activation
-        assert loaded.optimizer.flat.size == state.optimizer.flat.size
-        assert np.array_equal(state.optimizer.flat, loaded.optimizer.flat)
+        assert loaded.model.momentum.tobytes() == state.model.momentum.tobytes()
         assert np.array_equal(state.bank.weights, loaded.bank.weights)
         assert loaded.optimizer.decay_epochs == state.optimizer.decay_epochs
 
@@ -610,16 +628,6 @@ class TestCheckpoint:
         write_ltck(tmp_path / "packed.ltck", layer_sections(state.model),
                    momentum_matrices(state), state)
         assert (tmp_path / "packed.ltck").read_bytes() == (tmp_path / "saved.ltck").read_bytes()
-
-    def test_momentum_of_another_model_is_not_saved(self, tmp_path):
-        # refused by the writer, not written as a file that load_checkpoint refuses
-        state = self.build_state()
-        for hidden in (7, 9):
-            other = toy_model(hidden=hidden)
-            state.optimizer = init_optimizer(other, Hyperparams(num_classes=3, code_length=8))
-            with pytest.raises(DimensionError, match="momentum size"):
-                save_checkpoint(tmp_path / "other.ltck", state)
-            assert not (tmp_path / "other.ltck").exists()
 
     def test_zero_sized_layers_rejected(self, tmp_path, capsys):
         # the layers chain into one model, but its input is 0 wide
