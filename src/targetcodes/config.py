@@ -187,20 +187,24 @@ def _strip_comment(line: str) -> str:
 def parse_config_file(path) -> dict:
     """Read flat `key = value` lines; blank lines are skipped, and a # at the
     start of a line or after whitespace starts a comment, so a path may hold
-    one elsewhere. Unknown keys are rejected."""
+    one elsewhere. Unknown keys and text that is not UTF-8 are rejected."""
     values = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = _strip_comment(raw)
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            try:
-                values[key.strip()] = parse_setting(key.strip(), value.strip())
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{line_no}: {exc}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    for line_no, raw in enumerate(lines, start=1):
+        line = _strip_comment(raw)
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key = value, got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        try:
+            values[key.strip()] = parse_setting(key.strip(), value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from None
     return values
 
 

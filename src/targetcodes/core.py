@@ -312,16 +312,14 @@ def finite_diff_check(
 
 
 def labels_array(labels: Sequence[int] | np.ndarray, num_classes: int) -> np.ndarray:
-    """Validate integer labels against [0, num_classes) and return as an array."""
+    """Validate integer-dtype labels against [0, num_classes); return them as intp."""
     y = np.asarray(labels)
     if y.ndim != 1:
         raise DimensionError(f"labels must be 1-D, got ndim={y.ndim}")
     if y.size == 0:
         raise DomainError("labels must be non-empty")
-    if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(y == np.floor(y)):
-            raise DomainError("labels must be integers")
-        y = y.astype(np.int64)
+    if y.dtype.kind not in "iu":
+        raise DomainError(f"labels must be integers, got {y.dtype}")
     if y.min() < 0 or y.max() >= num_classes:
         bad = int(y[(y < 0) | (y >= num_classes)][0])
         raise DomainError(f"label {bad} outside [0, {num_classes})")

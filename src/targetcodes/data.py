@@ -20,7 +20,7 @@ class Dataset:
     ``class_counts[k]`` rows and the class count is ``max(y) + 1``. A
     feature that is NaN or infinite raises DomainError naming its row and
     column, and so do labels that are not a 1-D array of non-negative
-    integers.
+    integers, or that are 2**32 or more, before ``np.bincount`` sees them.
     """
 
     X: Matrix
@@ -41,6 +41,8 @@ class Dataset:
             raise DomainError(f"labels must be 1-D integers, got {y.dtype} of shape {y.shape}")
         if (y < 0).any():
             raise DomainError(f"negative label {int(y.min())}")
+        if (y >= 2**32).any():  # an LTCK file stores its class count as a u32
+            raise DomainError(f"label {int(y.max())} is too large: labels must be below 2**32")
         if self.X.shape[0] != y.shape[0]:
             raise DimensionError(f"{self.X.shape[0]} feature rows for {y.shape[0]} labels")
         if not np.isfinite(self.X).all():
@@ -198,13 +200,10 @@ def load_csv(path) -> Dataset:
             raise
         except (ValueError, UnicodeDecodeError, Warning) as exc:
             raise _format_error(path, str(exc)) from None
-    y = np.ascontiguousarray(table["y"])
-    if y.min() < 0:
-        raise FormatError(f"{path}: negative label {int(y.min())}")
     try:
-        return Dataset(X=np.ascontiguousarray(table["X"]), y=y)
-    except DomainError:  # a non-finite feature; name its line
-        raise _format_error(path, "non-finite value") from None
+        return Dataset(X=np.ascontiguousarray(table["X"]), y=np.ascontiguousarray(table["y"]))
+    except DomainError as exc:  # a bad feature gets its line named; a bad label keeps this text
+        raise _format_error(path, str(exc)) from None
 
 
 def _bad_field(text: str, parse) -> bool:

@@ -90,7 +90,7 @@ class ModelParams:
     order, their ``(fan_in, fan_out)`` in ``shapes``. The feature span of
     ``flat`` ends at ``feature_end`` and the classifier's at
     ``classifier_end``. :func:`init_model` and :func:`load_checkpoint`
-    build every model so.
+    build every model so; a dimension below 1 raises DomainError first.
 
     ``momentum`` is its momentum store, laid out like ``flat``, zeroed here
     and rebound zeroed by :func:`init_optimizer`.
@@ -103,6 +103,8 @@ class ModelParams:
     """
 
     def __init__(self, dims):
+        if min(dims[0], *dims[1], *dims[2:]) < 1:
+            raise DomainError("all model dimensions must be positive")
         self.dims = dims
         specs = layer_specs(*dims)
         self.shapes = [(fan_in, fan_out) for fan_in, fan_out, _ in specs]
@@ -198,8 +200,6 @@ def init_model(
     the classifier and the final tanh layer use std sqrt(1 / fan_in).
     """
     dims = (input_dim, tuple(feature_widths), num_classes, encoder_hidden, code_length)
-    if min(input_dim, *dims[1], num_classes, encoder_hidden, code_length) < 1:
-        raise DomainError("all model dimensions must be positive")
     model = ModelParams(dims)
     for layer, (fan_in, fan_out) in zip(model.all_layers(), model.shapes):
         std = np.sqrt(2.0 / fan_in) if layer.activation == RELU else np.sqrt(1.0 / fan_in)
@@ -432,7 +432,7 @@ def save_checkpoint(path, state: CheckpointState) -> None:
 def load_checkpoint(path) -> CheckpointState:
     """Read an LTCK file written by :func:`save_checkpoint`. A file that
     disagrees with itself raises FormatError: layers that do not chain,
-    momentum buffers or a bank shaped unlike the model, or a bank kind
+    a momentum matrix or a bank shaped unlike the model, or a bank kind
     that does not follow the mode (Hadamard exactly in ``htc``).
 
     The values go straight from the file into the flat store: a first pass
@@ -466,9 +466,6 @@ def load_checkpoint(path) -> CheckpointState:
                 if bias != (1, weight[1]):
                     raise DimensionError(f"bias shape {bias} does not match weight {weight}")
                 shapes.append(weight)
-        for shape in shapes:
-            if 0 in shape:
-                raise DimensionError(f"matrix must be non-empty, got shape {shape}")
         n = counts[0]
         hidden = shapes[n + 1][1] if counts[2] else 0
         dims = (shapes[0][0], tuple(w for _, w in shapes[:n]), shapes[n][1], hidden, shapes[-1][1])
@@ -481,20 +478,15 @@ def load_checkpoint(path) -> CheckpointState:
         settings = dict(zip(_OPT_SCALARS, rd.unpack("<ddddd?")))
         n_decay, settings["decay_factor"] = rd.unpack("<Id")
         settings["decay_epochs"] = tuple(rd.unpack("<I")[0] for _ in range(n_decay))
-        bufs = _views(model.momentum, model.shapes)
-        for i, (layer, pair) in enumerate(zip(model.all_layers(), bufs)):
-            got = []
-            for view in pair:
-                got.append(rd.unpack("<II"))
-                if got[-1] == view.shape:
-                    rd.fill(view)
-                else:
-                    rd.skip(8 * got[-1][0] * got[-1][1])
-            if got != [view.shape for view in pair]:
-                raise FormatError(
-                    f"checkpoint momentum buffers {got[0]}, {got[1]} of layer {i} do not "
-                    f"match its weight {layer.weight.shape} and bias {layer.bias.shape}"
-                )
+        for i, pair in enumerate(_views(model.momentum, model.shapes)):
+            for name, view in zip(("weight", "bias"), pair):
+                shape = rd.unpack("<II")
+                if shape != view.shape:
+                    raise FormatError(
+                        f"checkpoint momentum {shape} of layer {i} does not match its {name} "
+                        f"{view.shape}"
+                    )
+                rd.fill(view)
         (has_bank,) = rd.unpack("<B")
         bank = codes_mod.read_bank(rd) if has_bank else None
         rd.finish()

@@ -280,7 +280,7 @@ def train(
         for name in os.listdir(out_dir):
             if _STALE_RUN_TMP.fullmatch(name):
                 os.remove(os.path.join(out_dir, name))
-        with atomic_open(os.path.join(out_dir, "resolved.cfg")) as fh:
+        with atomic_open(os.path.join(out_dir, "resolved.cfg"), encoding="utf-8") as fh:
             fh.write(format_config(config))
         with atomic_open(metrics_path, "wb") as fh:
             fh.writelines(kept)

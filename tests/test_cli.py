@@ -582,7 +582,8 @@ class TestTrain:
         before = self.snapshot(run_dir)
         capsys.readouterr()
         assert run_cli(*base, "--resume", str(ckpt)) == 2
-        assert "momentum buffers (32, 15), (1, 16) of layer 1" in capsys.readouterr().err
+        message = "checkpoint momentum (32, 15) of layer 1 does not match its weight (32, 16)"
+        assert message in capsys.readouterr().err
         assert self.snapshot(run_dir) == before
 
     @pytest.mark.parametrize("text", [b"mode ltc\n", b"seed = 5\n", b"mode = \xff\n"])
@@ -744,6 +745,41 @@ class TestEval:
         assert code == 2
         assert "labels reach 5, but the model has 4 classes" in capsys.readouterr().err
 
+    def test_retrieval_reports_singleton_classes(self, tmp_path, blob_csvs, capsys):
+        # classes 2 and 3 keep one row each, so their queries have no hit
+        train, test = blob_csvs
+        run_cli(*TestTrain().train_args(tmp_path, train, test, "--mode", "baseline"))
+        ds = load_csv(test)
+        keep = np.sort(np.concatenate([
+            np.flatnonzero(ds.y < 2), np.flatnonzero(ds.y == 2)[:1], np.flatnonzero(ds.y == 3)[:1],
+        ]))
+        single = tmp_path / "single.csv"
+        data.save_csv(data.Dataset(ds.X[keep], ds.y[keep]), single)
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(tmp_path / "run" / "ckpt_final.ltck"),
+                       "--data", str(single), "--retrieval")
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert printed[-1] == "skipped queries (singleton class): 2"
+
+    @pytest.mark.parametrize("label, message", [
+        (-3, "negative label -3"),
+        (2**62, f"label {2**62} is too large: labels must be below 2**32"),
+        (2**32, f"label {2**32} is too large: labels must be below 2**32"),
+    ], ids=["negative", "2**62", "2**32"])
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_label_out_of_range_exit_2(self, tmp_path, capsys, command, label, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"label,f0,f1\r\n0,1.0,0.5\r\n{label},2.0,0.5\r\n")
+        if command == "eval":
+            argv = ["--checkpoint", str(FIXTURE_V1 / "ckpt_epoch1.ltck"), "--data", str(bad)]
+        else:
+            argv = ["--config", str(FIXTURE_V1 / "resolved.cfg"), "--data", str(bad),
+                    "--test-data", str(FIXTURE_V1 / "test.csv"), "--out", str(tmp_path / "run")]
+        assert run_cli(command, *argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_layers_that_do_not_chain_exit_2(self, tmp_path, blob_csvs, capsys):
         train, test = blob_csvs
         run_cli(*TestTrain().train_args(tmp_path, train, test, "--mode", "baseline"))
@@ -825,6 +861,20 @@ class TestConfigFileParsing:
 
         with pytest.raises(ConfigError):
             config.parse_config_file(path)
+
+    def test_text_that_is_not_utf8_rejected(self, tmp_path, blob_csvs, capsys):
+        from targetcodes.errors import ConfigError
+
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe\x00garbage\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8 text")):
+            config.parse_config_file(path)
+        train, test = blob_csvs
+        code = run_cli("train", "--config", str(path), "--data", str(train),
+                       "--test-data", str(test), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_format_parse_round_trip(self):
         values = dict(config.CLI_DEFAULTS)

@@ -345,6 +345,17 @@ class TestBankSerialization:
         with pytest.raises(FormatError, match="non-finite"):
             load_bank(path)
 
+    def test_unknown_kind_code(self, tmp_path):
+        path = tmp_path / "kind.ltcb"
+        save_bank(init_learnable_codes(3, 4, Rng(8)), path)
+        raw = bytearray(path.read_bytes())
+        # after the magic and u32 version: u32 kind (1 is learnable)
+        assert struct.unpack_from("<I", raw, 8) == (1,)
+        struct.pack_into("<I", raw, 8, 9)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="unknown code bank kind code 9$"):
+            load_bank(path)
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "long.ltcb"
         save_bank(init_learnable_codes(3, 4, Rng(8)), path)

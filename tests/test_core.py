@@ -215,6 +215,11 @@ class TestValidation:
         with pytest.raises(DomainError, match="outside"):
             labels_array([0, 3], num_classes=3)
 
+    @pytest.mark.parametrize("labels, dtype", [([0.0, 1.0], "float64"), ([True, False], "bool")])
+    def test_labels_of_a_non_integer_dtype_refused(self, labels, dtype):
+        with pytest.raises(DomainError, match=f"labels must be integers, got {dtype}$"):
+            labels_array(labels, num_classes=3)
+
     def test_labels_pass_through(self):
         y = labels_array([2, 0, 1], num_classes=3)
         assert y.tolist() == [2, 0, 1]

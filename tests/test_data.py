@@ -179,6 +179,8 @@ class TestCsv:
         (np.array([0.0, 1.0, 1.0]), "labels must be 1-D integers, got float64 of shape (3,)"),
         (np.zeros((3, 1), np.int64), "labels must be 1-D integers, got int64 of shape (3, 1)"),
         (np.array([0, 1, 1], np.uint64), "labels must be 1-D integers, got uint64"),
+        (np.array([0, 2**62, 1]), f"label {2**62} is too large: labels must be below 2**32"),
+        (np.array([0, 2**32, 1]), f"label {2**32} is too large: labels must be below 2**32"),
     ])
     def test_malformed_labels_refused_at_construction(self, y, message):
         with pytest.raises(DomainError, match=re.escape(message)):
@@ -241,11 +243,19 @@ class TestCsv:
             load_csv(path)
 
     def test_negative_label_rejected(self, tmp_path):
-        # named by load_csv itself: Dataset refuses it too, but its DomainError
-        # would reach the fallback that reports a non-finite value
+        # Dataset refuses it, and load_csv reports its text after the path
         path = tmp_path / "neg.csv"
         path.write_text("label,f0\n0,1\n-1,2\n")
         with pytest.raises(FormatError, match=r"neg\.csv: negative label -1$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("label", [2**62, 2**32])
+    def test_label_too_large_to_count_rejected(self, tmp_path, label):
+        # refused before np.bincount would size a count array by it
+        path = tmp_path / "big.csv"
+        path.write_text(f"label,f0\n0,1\n{label},2\n")
+        message = rf"big\.csv: label {label} is too large: labels must be below 2\*\*32$"
+        with pytest.raises(FormatError, match=message):
             load_csv(path)
 
     def test_unlocated_error_keeps_numpy_message(self, tmp_path):

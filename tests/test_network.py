@@ -15,6 +15,7 @@ from targetcodes.core import Rng, finite_diff_check, pack_matrix
 from targetcodes.data import Dataset, make_blobs, save_csv
 from targetcodes.errors import (
     DimensionError,
+    DomainError,
     FormatError,
     NumericError,
     TargetCodesError,
@@ -30,6 +31,7 @@ from targetcodes.network import (
     GROUP_NEW,
     CheckpointState,
     DenseLayer,
+    ModelParams,
     backward,
     forward,
     init_model,
@@ -468,6 +470,14 @@ class TestInitModel:
         with pytest.raises(TargetCodesError):
             init_model(4, widths, 2, 3, 5, Rng(35))
 
+    @pytest.mark.parametrize("dims", [
+        (0, (5,), 2, 3, 5), (4, (5, 0), 2, 3, 5), (4, (5,), 0, 3, 5), (4, (5,), 2, 0, 5),
+        (4, (5,), 2, 3, 0), (4, (5,), 2, 3, -1),
+    ])
+    def test_model_params_refuses_a_dimension_below_one(self, dims):
+        with pytest.raises(DomainError, match="all model dimensions must be positive"):
+            ModelParams(dims)
+
 
 class TestCheckpoint:
     def build_state(self, seed=40, **dims):
@@ -636,11 +646,28 @@ class TestCheckpoint:
         path = tmp_path / "empty.ltck"
         write_ltck(path, [layers[:1], layers[1:2], layers[2:]],
                    [a for _, w, b in layers for a in (w, b)])
-        message = "matrix must be non-empty, got shape (0, 4)"
-        with pytest.raises(DimensionError, match=re.escape(message)):
+        message = "all model dimensions must be positive"
+        with pytest.raises(DomainError, match=message):
             load_checkpoint(path)
         data = tmp_path / "data.csv"
         save_csv(Dataset(np.zeros((3, 4)), np.arange(3) % 2), data)
+        assert cli.main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_bias_unlike_its_weight_rejected(self, tmp_path, capsys):
+        # without this check the load succeeds: the value pass fills the
+        # (1, 10) view from the 9 values of the bias and the bytes after them
+        state = self.build_state()
+        sections = layer_sections(state.model)
+        act, weight, bias = sections[0][0]
+        sections[0][0] = (act, weight, bias[:, :-1])
+        path = tmp_path / "bias.ltck"
+        write_ltck(path, sections, momentum_matrices(state), state)
+        message = "bias shape (1, 9) does not match weight (8, 10)"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            load_checkpoint(path)
+        data = tmp_path / "data.csv"
+        save_csv(Dataset(np.zeros((3, 8)), np.arange(3)), data)
         assert cli.main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
         assert message in capsys.readouterr().err
 
@@ -650,7 +677,8 @@ class TestCheckpoint:
         momentum[-1] = np.zeros((1, 9))
         path = tmp_path / "buf.ltck"
         write_ltck(path, layer_sections(state.model), momentum, state)
-        with pytest.raises(FormatError, match="momentum buffers .* of layer 5"):
+        message = "checkpoint momentum (1, 9) of layer 5 does not match its bias (1, 8)"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, message", [
